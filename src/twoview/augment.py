@@ -108,11 +108,20 @@ class AugStrategy:
             raise ContractError(
                 f"unknown augmentation kind {self.kind!r}; expected one of {STRATEGY_KINDS}"
             )
+        # the rectangle sampler takes logs of the aspect bounds and needs at
+        # least one attempt; an area range outside (0, 1] can never be met
+        for name, rect in (("erase", self.erase), ("crop", self.crop)):
+            if not 0.0 < rect.area_range[0] <= rect.area_range[1] <= 1.0:
+                raise ContractError(
+                    f"{name}.area_range must satisfy 0 < low <= high <= 1, got {rect.area_range}"
+                )
+            if not 0.0 < rect.aspect_range[0] <= rect.aspect_range[1]:
+                raise ContractError(
+                    f"{name}.aspect_range must satisfy 0 < low <= high, got {rect.aspect_range}"
+                )
+            if rect.max_attempts < 1:
+                raise ContractError(f"{name}.max_attempts must be >= 1, got {rect.max_attempts}")
         for pair in (
-            self.erase.area_range,
-            self.erase.aspect_range,
-            self.crop.area_range,
-            self.crop.aspect_range,
             self.corrupt.quality_range,
             self.corrupt.noise_sigma_range,
             self.corrupt.blur_sigma_range,
@@ -143,10 +152,10 @@ def _check_image(img: np.ndarray) -> np.ndarray:
     return img
 
 
-# -- random erasing ----------------------------------------------------------
+# -- random erasing and random resized crop -----------------------------------
 
 
-def _sample_erase_rect(h, w, gen, params: EraseParams):
+def _sample_rect(h, w, gen, params: EraseParams | CropParams):
     """Draw (top, left, rh, rw) whose realized area fraction and aspect ratio
     land inside the configured ranges; None if every attempt misses.
 
@@ -183,46 +192,18 @@ def _erase_rect(img, rect, gen):
     return out
 
 
-def _random_erase_impl(img, gen, params: EraseParams):
-    rect = _sample_erase_rect(img.shape[0], img.shape[1], gen, params)
+def _erase(img, gen, params: EraseParams):
+    """Fill one random rectangle with uniform noise; everything else is untouched."""
+    rect = _sample_rect(img.shape[0], img.shape[1], gen, params)
     if rect is None:
         return img.copy()
     return _erase_rect(img, rect, gen)
 
 
-def random_erase(img: np.ndarray, rng: RngStream, params: EraseParams | None = None) -> np.ndarray:
-    """Fill one random rectangle with uniform noise; everything else is untouched."""
-    img = _check_image(img)
-    return _random_erase_impl(img, rng.generator(), params or EraseParams())
-
-
-# -- random resized crop -------------------------------------------------------
-
-
-def _sample_crop_rect(h, w, gen, params: CropParams):
-    lo_a, hi_a = params.area_range
-    lo_r, hi_r = params.aspect_range
-    for _ in range(params.max_attempts):
-        frac = gen.uniform(lo_a, hi_a)
-        ratio = math.exp(gen.uniform(math.log(lo_r), math.log(hi_r)))  # ch / cw
-        target = frac * h * w
-        ch = int(round(math.sqrt(target * ratio)))
-        cw = int(round(math.sqrt(target / ratio)))
-        if ch < 1 or cw < 1 or ch > h or cw > w:
-            continue
-        if not lo_a <= (ch * cw) / (h * w) <= hi_a:
-            continue
-        if not lo_r <= ch / cw <= hi_r:
-            continue
-        top = int(gen.integers(0, h - ch + 1))
-        left = int(gen.integers(0, w - cw + 1))
-        return top, left, ch, cw
-    return None
-
-
-def _random_resized_crop_impl(img, gen, params: CropParams):
+def _resized_crop(img, gen, params: CropParams):
+    """Crop a near-full-area rectangle and bilinearly resize it back."""
     h, w = img.shape[:2]
-    rect = _sample_crop_rect(h, w, gen, params)
+    rect = _sample_rect(h, w, gen, params)
     if rect is None:
         return img.copy()
     top, left, ch, cw = rect
@@ -230,35 +211,17 @@ def _random_resized_crop_impl(img, gen, params: CropParams):
     return np.clip(bilinear_resize(crop, h, w), 0.0, 1.0)
 
 
-def random_resized_crop(
-    img: np.ndarray, rng: RngStream, params: CropParams | None = None
-) -> np.ndarray:
-    """Crop a near-full-area rectangle and bilinearly resize it back."""
-    img = _check_image(img)
-    return _random_resized_crop_impl(img, rng.generator(), params or CropParams())
-
-
 # -- composite strategies --------------------------------------------------------
 
 
-def _ra_aug_impl(img, gen, erase: EraseParams, crop: CropParams):
+def _ra_aug(img, gen, erase: EraseParams, crop: CropParams):
+    """Uniformly one of: identity, random erasing, random resized crop."""
     u = gen.random()
     if u < 1.0 / 3.0:
         return img.copy()
     if u < 2.0 / 3.0:
-        return _random_erase_impl(img, gen, erase)
-    return _random_resized_crop_impl(img, gen, crop)
-
-
-def ra_aug(
-    img: np.ndarray,
-    rng: RngStream,
-    erase: EraseParams | None = None,
-    crop: CropParams | None = None,
-) -> np.ndarray:
-    """Uniformly one of: identity, random erasing, random resized crop."""
-    img = _check_image(img)
-    return _ra_aug_impl(img, rng.generator(), erase or EraseParams(), crop or CropParams())
+        return _erase(img, gen, erase)
+    return _resized_crop(img, gen, crop)
 
 
 def _dfdc_selim_impl(img, gen, params: CorruptParams):
@@ -305,11 +268,11 @@ def apply_augment(img: np.ndarray, strategy: AugStrategy, rng: RngStream) -> np.
     if strategy.kind == "none":
         return img.copy()
     if strategy.kind == "re":
-        return _random_erase_impl(img, gen, strategy.erase)
+        return _erase(img, gen, strategy.erase)
     if strategy.kind == "randcrop":
-        return _random_resized_crop_impl(img, gen, strategy.crop)
+        return _resized_crop(img, gen, strategy.crop)
     if strategy.kind == "raaug":
-        return _ra_aug_impl(img, gen, strategy.erase, strategy.crop)
+        return _ra_aug(img, gen, strategy.erase, strategy.crop)
     if strategy.kind == "dfdc":
         return _dfdc_selim_impl(img, gen, strategy.corrupt)
     raise ContractError(f"unknown augmentation kind {strategy.kind!r}")

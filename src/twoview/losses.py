@@ -1,15 +1,13 @@
-"""Consistency penalties, weighted cross-entropy, and the combined objective.
+"""Batch consistency penalties and class-weighted batch cross-entropy.
 
 The consistency penalty compares the two views' representations: the cosine
 form squares (1 - cosine similarity) so only directions matter, while the
 l1/l2 forms act on the raw vectors and are deliberately scale-sensitive.
-Batch losses SUM over pairs (not mean), so gradients scale with batch size
-exactly as the per-pair definitions add up.
+Both losses SUM over pairs (not mean), so gradients scale with batch size
+and a batch of one is the single-pair loss.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,52 +19,14 @@ PENALTY_KINDS = ("cos", "l1", "l2", "none")
 CLAMP = 1e-12
 
 
-@dataclass(frozen=True)
-class LossConfig:
-    penalty: str = "cos"
-    alpha: float = 1.0
-    w_real: float = 4.0
-    w_fake: float = 1.0
-
-    def __post_init__(self):
-        if self.penalty not in PENALTY_KINDS:
-            raise ContractError(f"penalty must be one of {PENALTY_KINDS}, got {self.penalty!r}")
-        if self.alpha < 0:
-            raise ContractError(f"alpha must be >= 0, got {self.alpha}")
-        if self.w_real <= 0 or self.w_fake <= 0:
-            raise ContractError(f"class weights must be positive, got ({self.w_real}, {self.w_fake})")
-
-
-def _check_pair(f1: Tensor, f2: Tensor, ndim: int, op: str) -> None:
-    if f1.ndim != ndim or f2.ndim != ndim or f1.shape != f2.shape:
-        raise ShapeError(f"{op} expects two equal-shape {ndim}-d tensors, got {f1.shape}, {f2.shape}")
-
-
-def cos_consistency(f1: Tensor, f2: Tensor) -> Tensor:
-    """(1 - cos(f1, f2))^2 on a single vector pair; in [0, 4], zero iff aligned."""
-    _check_pair(f1, f2, 1, "cos_consistency")
-    n1 = l2_normalize(f1)
-    n2 = l2_normalize(f2)
-    return (1.0 - (n1 * n2).sum()) ** 2
-
-
-def l1_consistency(f1: Tensor, f2: Tensor) -> Tensor:
-    """Mean absolute difference (mean over d, so the value is width-independent)."""
-    _check_pair(f1, f2, 1, "l1_consistency")
-    return (f1 - f2).abs().mean()
-
-
-def l2_consistency(f1: Tensor, f2: Tensor) -> Tensor:
-    """Mean squared difference."""
-    _check_pair(f1, f2, 1, "l2_consistency")
-    return ((f1 - f2) ** 2).mean()
-
-
 def batch_consistency(F1: Tensor, F2: Tensor, kind: str = "cos") -> Tensor:
     """Sum of the per-pair penalty over the N rows of [N, d] view batches."""
     if kind == "none":
         return Tensor(0.0)
-    _check_pair(F1, F2, 2, "batch_consistency")
+    if F1.ndim != 2 or F1.shape != F2.shape:
+        raise ShapeError(
+            f"batch_consistency expects two equal-shape 2-d tensors, got {F1.shape}, {F2.shape}"
+        )
     if kind == "cos":
         n1 = l2_normalize(F1)
         n2 = l2_normalize(F2)
@@ -77,21 +37,6 @@ def batch_consistency(F1: Tensor, F2: Tensor, kind: str = "cos") -> Tensor:
     if kind == "l2":
         return ((F1 - F2) ** 2).mean(axis=1).sum()
     raise ContractError(f"penalty must be one of {PENALTY_KINDS}, got {kind!r}")
-
-
-def weighted_ce(p, y: int, weights: tuple[float, float] = (4.0, 1.0)) -> Tensor:
-    """-w_y * [y log p + (1-y) log(1-p)], with w = (w_real, w_fake) keyed by label."""
-    if y not in (0, 1):
-        raise ContractError(f"label must be 0 or 1, got {y!r}")
-    if not isinstance(p, Tensor):
-        p = Tensor(float(p))
-    if p.size != 1:
-        raise ShapeError(f"weighted_ce takes a scalar probability, got shape {p.shape}")
-    pc = p.clamp(CLAMP, 1.0 - CLAMP)
-    w_real, w_fake = weights
-    if y == 1:
-        return pc.log() * (-float(w_fake))
-    return (1.0 - pc).log() * (-float(w_real))
 
 
 def batch_ce(
@@ -116,11 +61,3 @@ def batch_ce(
 
     return view_ce(P1) + view_ce(P2)
 
-
-def total_loss(ce: Tensor, consistency, alpha: float) -> Tensor:
-    """ce + alpha * consistency; alpha = 0 returns the CE term untouched."""
-    if alpha < 0:
-        raise ContractError(f"alpha must be >= 0, got {alpha}")
-    if alpha == 0:
-        return ce
-    return ce + consistency * float(alpha)

@@ -506,13 +506,10 @@ def softmax(x: Tensor) -> Tensor:
 
 
 def l2_normalize(x: Tensor) -> Tensor:
-    """Scale rows of [N, d] (or a single [d] vector) to unit Euclidean norm."""
-    if x.ndim == 1:
-        norms = np.linalg.norm(x.data, keepdims=True)
-    elif x.ndim == 2:
-        norms = np.linalg.norm(x.data, axis=1, keepdims=True)
-    else:
-        raise ShapeError(f"l2_normalize expects [d] or [N, d], got {x.shape}")
+    """Scale the rows of [N, d] to unit Euclidean norm."""
+    if x.ndim != 2:
+        raise ShapeError(f"l2_normalize expects [N, d], got {x.shape}")
+    norms = np.linalg.norm(x.data, axis=1, keepdims=True)
     if np.any(norms <= EPS_NORM):
         raise DegenerateVectorError(
             f"cannot normalize a vector with norm <= {EPS_NORM:g}; min norm {norms.min():g}"
@@ -521,10 +518,7 @@ def l2_normalize(x: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
-            if x.ndim == 1:
-                dot = np.sum(g * y)
-            else:
-                dot = (g * y).sum(axis=1, keepdims=True)
+            dot = (g * y).sum(axis=1, keepdims=True)
             x.grad += (g - y * dot) / norms
 
     return Tensor._from_op(y, (x,), backward, "l2_normalize")

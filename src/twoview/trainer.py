@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .augment import STRATEGY_KINDS, AugStrategy, RngStream, derive_seed, make_pair
-from .losses import PENALTY_KINDS, LossConfig, batch_ce, batch_consistency, total_loss
+from .losses import PENALTY_KINDS, batch_ce, batch_consistency
 from .metrics import MetricReport, ScoredSet, compute_report
 from .model import (
     ClassifierParams,
@@ -89,11 +89,6 @@ class TrainConfig:
             raise ContractError(f"class weights must be positive, got ({self.w_real}, {self.w_fake})")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ContractError(f"seed must be an unsigned 64-bit int, got {self.seed!r}")
-
-    def loss_config(self) -> LossConfig:
-        return LossConfig(
-            penalty=self.penalty, alpha=self.alpha, w_real=self.w_real, w_fake=self.w_fake
-        )
 
 
 @dataclass(frozen=True)
@@ -432,9 +427,12 @@ def _check_representations(reps: np.ndarray, pairs) -> None:
 
 
 def train_step(
-    pairs, enc: EncoderParams, cls: ClassifierParams, opt: Adam, loss_cfg: LossConfig
+    pairs, enc: EncoderParams, cls: ClassifierParams, opt: Adam, config: TrainConfig
 ) -> tuple[float, float]:
-    """One optimizer step on a batch of view pairs; returns (ce, consistency) sums."""
+    """One optimizer step on a batch of view pairs; returns (ce, consistency) sums.
+
+    Of config, only the loss fields are read: alpha, penalty, w_real, w_fake.
+    """
     if not pairs:
         raise ContractError("train_step needs a non-empty batch")
     n = len(pairs)
@@ -444,10 +442,10 @@ def train_step(
     probs = classifier_forward(reps, cls)
     labels = np.array([p.label for p in pairs])
 
-    ce = batch_ce(probs[:n], probs[n:], labels, (loss_cfg.w_real, loss_cfg.w_fake))
-    if loss_cfg.alpha > 0 and loss_cfg.penalty != "none":
-        consistency = batch_consistency(reps[:n], reps[n:], loss_cfg.penalty)
-        loss = total_loss(ce, consistency, loss_cfg.alpha)
+    ce = batch_ce(probs[:n], probs[n:], labels, (config.w_real, config.w_fake))
+    if config.alpha > 0 and config.penalty != "none":
+        consistency = batch_consistency(reps[:n], reps[n:], config.penalty)
+        loss = ce + consistency * float(config.alpha)
         c_value = consistency.item()
     else:
         # alpha = 0 must be bit-identical to a CE-only trainer, so the
@@ -489,7 +487,6 @@ def train(config: TrainConfig, dataset, on_epoch=None) -> tuple[Checkpoint, Trai
 
     enc, cls = init_params(config.model, derive_seed(config.seed, "init"))
     opt = Adam(named_parameters(enc, cls), lr=config.lr)
-    loss_cfg = config.loss_config()
     strategy = AugStrategy(kind=config.aug)
     stopper = EarlyStopper(config.patience)
     shuffle_seed = derive_seed(config.seed, "shuffle")
@@ -514,7 +511,7 @@ def train(config: TrainConfig, dataset, on_epoch=None) -> tuple[Checkpoint, Trai
                 )
                 for i in perm[b * n : (b + 1) * n]
             ]
-            ce, consistency = train_step(pairs, enc, cls, opt, loss_cfg)
+            ce, consistency = train_step(pairs, enc, cls, opt, config)
             ce_total += ce
             c_total += consistency
         val_auc = evaluate(enc, cls, dataset.val).auc
@@ -582,9 +579,5 @@ def cross_view_distance(
         reps, _ = encoder_forward(Tensor(_stack_views(pairs)), enc)
         _check_representations(reps.data, pairs)
         m = len(chunk)
-        f1, f2 = reps.data[:m], reps.data[m:]
-        n1 = f1 / np.linalg.norm(f1, axis=1, keepdims=True)
-        n2 = f2 / np.linalg.norm(f2, axis=1, keepdims=True)
-        dots = (n1 * n2).sum(axis=1)
-        total += float(((1.0 - dots) ** 2).sum())
+        total += batch_consistency(reps[:m], reps[m:], "cos").item()
     return total / len(samples)

@@ -1,8 +1,8 @@
 """Acceptance gate: one test per shipped guarantee, tolerances pinned.
 
-Run with -v to get one pass/fail line per criterion.  Criteria 6-8 train
-real models and dominate the suite's runtime; everything else finishes in
-seconds to a couple of minutes.
+Run with -v to get one pass/fail line per criterion.  Criteria 6-8 (the
+consistency-vs-baseline experiment, the l1/l2 penalties, CAM localization)
+are not here yet; ROADMAP.md item 1 tracks them.
 """
 
 import time
@@ -15,22 +15,12 @@ from oracles import auc_pair_count, rel_err, tdr_exhaustive, trapezoid_area
 from twoview.augment import (
     AugStrategy,
     CropParams,
-    EraseParams,
     RngStream,
-    _sample_crop_rect,
+    _sample_rect,
     apply_augment,
-    random_erase,
 )
 from twoview.cli import main as cli_main
-from twoview.losses import (
-    batch_ce,
-    batch_consistency,
-    cos_consistency,
-    l1_consistency,
-    l2_consistency,
-    total_loss,
-    weighted_ce,
-)
+from twoview.losses import batch_ce, batch_consistency
 from twoview.metrics import ScoredSet, auc, roc_points, tdr_at_fdr
 from twoview.model import (
     ModelConfig,
@@ -200,20 +190,25 @@ def _op_cases(rng):
     rn = rng.normal(0, 1, (3, 6))
     add("l2_normalize", p, lambda p=p: proj(l2_normalize(p["x"]), rn))
 
-    v = rng.normal(0, 1, 8)
-    w = rng.normal(0, 1, 8)
-    p = {"f1": Tensor(v.copy(), requires_grad=True), "f2": Tensor(w.copy(), requires_grad=True)}
-    add("cos_consistency", p, lambda p=p: cos_consistency(p["f1"], p["f2"]))
-    sep = np.abs(v - w) < KINK_MARGIN  # keep |f1 - f2| off the abs kink
-    w_l1 = np.where(sep, w + 3 * KINK_MARGIN, w)
-    p = {"f1": Tensor(v.copy(), requires_grad=True), "f2": Tensor(w_l1, requires_grad=True)}
-    add("l1_consistency", p, lambda p=p: l1_consistency(p["f1"], p["f2"]))
-    p = {"f1": Tensor(v.copy(), requires_grad=True), "f2": Tensor(w.copy(), requires_grad=True)}
-    add("l2_consistency", p, lambda p=p: l2_consistency(p["f1"], p["f2"]))
-    p = {"p": Tensor(np.array(0.37), requires_grad=True)}
-    add("weighted_ce_real", p, lambda p=p: weighted_ce(p["p"], 0))
-    p = {"p": Tensor(np.array(0.37), requires_grad=True)}
-    add("weighted_ce_fake", p, lambda p=p: weighted_ce(p["p"], 1))
+    v = rng.normal(0, 1, (2, 8))
+    w = rng.normal(0, 1, (2, 8))
+    for kind in ("cos", "l1", "l2"):
+        f2 = w.copy()
+        if kind == "l1":
+            sep = np.abs(v - w) < KINK_MARGIN  # keep |f1 - f2| off the abs kink
+            f2 = np.where(sep, w + 3 * KINK_MARGIN, w)
+        p = {"f1": Tensor(v.copy(), requires_grad=True), "f2": Tensor(f2, requires_grad=True)}
+        add(
+            f"batch_consistency_{kind}",
+            p,
+            lambda p=p, kind=kind: batch_consistency(p["f1"], p["f2"], kind),
+        )
+    # one real and one fake pair, so both class weights are probed
+    p = {
+        "p1": Tensor(np.array([0.37, 0.37]), requires_grad=True),
+        "p2": Tensor(np.array([0.61, 0.61]), requires_grad=True),
+    }
+    add("batch_ce", p, lambda p=p: batch_ce(p["p1"], p["p2"], np.array([0, 1])))
 
     return cases
 
@@ -236,7 +231,7 @@ def _full_loss_setup():
         probs = classifier_forward(reps, cls)  # per-sample P(fake), both views stacked
         ce = batch_ce(probs[:4], probs[4:], labels)
         consistency = batch_consistency(reps[:4], reps[4:], "cos")
-        return total_loss(ce, consistency, alpha=1.0)
+        return ce + consistency * 1.0  # alpha = 1, as train_step combines them
 
     return named_parameters(enc, cls), full_loss
 
@@ -270,6 +265,11 @@ def test_01_gradients_match_finite_differences():
 # ---------------------------------------------------------------------------
 
 
+def _cos_penalty(a, b) -> float:
+    """The cosine penalty of one pair: a batch of one [1, d] row per view."""
+    return batch_consistency(Tensor(a[None]), Tensor(b[None]), "cos").item()
+
+
 def test_02_consistency_loss_invariants():
     """Range, zero-iff-aligned, symmetry, scale invariance, gradient orthogonality."""
     rng = np.random.default_rng(23)
@@ -278,21 +278,21 @@ def test_02_consistency_loss_invariants():
         v1 = rng.normal(0, 1, d)
         v2 = rng.normal(0, 1, d)
 
-        f1 = Tensor(v1, requires_grad=True)
-        loss = cos_consistency(f1, Tensor(v2))
+        f1 = Tensor(v1[None], requires_grad=True)
+        loss = batch_consistency(f1, Tensor(v2[None]), "cos")
         value = loss.item()
         assert 0.0 <= value <= 4.0
 
         # symmetric, and invariant to positive rescaling of either side
-        assert cos_consistency(Tensor(v2), Tensor(v1)).item() == value
+        assert _cos_penalty(v2, v1) == value
         a, b = rng.uniform(0.1, 10, 2)
-        scaled = cos_consistency(Tensor(a * v1), Tensor(b * v2)).item()
+        scaled = _cos_penalty(a * v1, b * v2)
         assert abs(scaled - value) < 1e-12
 
         # the penalty depends on directions only, so its gradient has no
         # radial component
         loss.backward()
-        radial = abs(float(np.dot(f1.grad, v1)))
+        radial = abs(float(np.dot(f1.grad[0], v1)))
         assert radial <= 1e-9 * np.linalg.norm(f1.grad) * np.linalg.norm(v1)
 
     # zero iff the directions coincide
@@ -300,16 +300,16 @@ def test_02_consistency_loss_invariants():
     for _ in range(100):
         d = int(rng2.integers(2, 33))
         v = rng2.normal(0, 1, d)
-        aligned = cos_consistency(Tensor(v), Tensor(float(rng2.uniform(0.1, 10)) * v)).item()
+        aligned = _cos_penalty(v, float(rng2.uniform(0.1, 10)) * v)
         assert aligned < 1e-12
         u = rng2.normal(0, 1, d)
         cos_uv = np.dot(u, v) / (np.linalg.norm(u) * np.linalg.norm(v))
         if cos_uv < 0.999:  # genuinely different directions
-            assert cos_consistency(Tensor(v), Tensor(u)).item() > 0.0
+            assert _cos_penalty(v, u) > 0.0
 
     # extremes: opposite directions hit the upper bound
     v = np.array([1.0, -2.0, 0.5])
-    assert abs(cos_consistency(Tensor(v), Tensor(-v)).item() - 4.0) < 1e-12
+    assert abs(_cos_penalty(v, -v) - 4.0) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +362,11 @@ def test_04_augmentation_statistics():
     n_draws = 10_000
     side = 64
     base = np.full((side, side, 3), 0.5)
-    erase_params = EraseParams()
+    erase_strategy = AugStrategy(kind="re")
 
     misses = 0
     for k in range(n_draws):
-        out = random_erase(base, RngStream(51, index=k), erase_params)
+        out = apply_augment(base, erase_strategy, RngStream(51, index=k))
         changed = np.nonzero((out != base).any(axis=2))
         if changed[0].size == 0:
             misses += 1
@@ -381,7 +381,7 @@ def test_04_augmentation_statistics():
     crop_params = CropParams()
     for k in range(n_draws):
         gen = RngStream(52, index=k).generator()
-        rect = _sample_crop_rect(side, side, gen, crop_params)
+        rect = _sample_rect(side, side, gen, crop_params)
         assert rect is not None
         _, _, ch, cw = rect
         frac = ch * cw / (side * side)

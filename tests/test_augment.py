@@ -15,17 +15,13 @@ from twoview.augment import (
     ViewPair,
     _dfdc_selim_impl,
     _erase_rect,
-    _ra_aug_impl,
-    _random_resized_crop_impl,
-    _sample_crop_rect,
-    _sample_erase_rect,
+    _ra_aug,
+    _resized_crop,
+    _sample_rect,
     apply_augment,
     crop_enlarged,
     dfdc_selim,
     make_pair,
-    ra_aug,
-    random_erase,
-    random_resized_crop,
 )
 from twoview.ndgrad import ContractError
 
@@ -63,6 +59,10 @@ def sample_image(seed=0, size=64):
     return rng.uniform(0.05, 0.95, (size, size, 3))
 
 
+def augment(img, kind, rng):
+    return apply_augment(img, AugStrategy(kind), rng)
+
+
 class TestRngStream:
     def test_same_address_same_sequence(self):
         a = RngStream(seed=7, epoch=2, index=5, view=1)
@@ -95,11 +95,36 @@ class TestRngStream:
             RngStream(seed=0, epoch=-2)
 
 
+class TestSampleRect:
+    # realized (rounded) geometry, checked against the default records'
+    # ranges, which are spelled out here
+    @pytest.mark.parametrize(
+        "params,area,aspect,max_misses,seed,epoch",
+        [
+            (EraseParams(), (0.02, 0.2), (0.5, 2.0), 19, 5, 0),
+            (CropParams(), (1.0 / 1.3, 1.0), (0.9, 1.1), 0, 6, 1),
+        ],
+        ids=["erase", "crop"],
+    )
+    def test_realized_stats_within_ranges(self, params, area, aspect, max_misses, seed, epoch):
+        misses = 0
+        for idx in range(2000):
+            gen = RngStream(seed=seed, epoch=epoch, index=idx, view=0).generator()
+            rect = _sample_rect(64, 64, gen, params)
+            if rect is None:
+                misses += 1
+                continue
+            _, _, rh, rw = rect
+            assert area[0] <= (rh * rw) / 4096.0 <= area[1]
+            assert aspect[0] <= rh / rw <= aspect[1]
+        assert misses <= max_misses
+
+
 class TestRandomErase:
     def test_deterministic_per_address(self):
         img = sample_image(1)
         rng = RngStream(seed=3, epoch=0, index=4, view=1)
-        assert np.array_equal(random_erase(img, rng), random_erase(img, rng))
+        assert np.array_equal(augment(img, "re", rng), augment(img, "re", rng))
 
     def test_forced_rect_locality(self):
         img = sample_image(2)
@@ -112,31 +137,17 @@ class TestRandomErase:
         img = sample_image(3)
         for idx in range(50):
             rng = RngStream(seed=11, epoch=0, index=idx, view=0)
-            out = random_erase(img, rng)
-            rect = _sample_erase_rect(64, 64, rng.generator(), EraseParams())
+            out = augment(img, "re", rng)
+            rect = _sample_rect(64, 64, rng.generator(), EraseParams())
             assert rect is not None
             top, left, rh, rw = rect
             outside = np.ones((64, 64), dtype=bool)
             outside[top : top + rh, left : left + rw] = False
             assert np.array_equal(out[outside], img[outside])
 
-    def test_realized_stats_within_ranges(self):
-        params = EraseParams()
-        none_count = 0
-        for idx in range(2000):
-            gen = RngStream(seed=5, epoch=0, index=idx, view=0).generator()
-            rect = _sample_erase_rect(64, 64, gen, params)
-            if rect is None:
-                none_count += 1
-                continue
-            _, _, rh, rw = rect
-            assert 0.02 <= (rh * rw) / 4096.0 <= 0.2
-            assert 0.5 <= rh / rw <= 2.0
-        assert none_count < 20
-
     def test_values_stay_valid(self):
         img = sample_image(4)
-        out = random_erase(img, RngStream(seed=9))
+        out = augment(img, "re", RngStream(seed=9))
         assert out.min() >= 0.0 and out.max() <= 1.0 and out.shape == img.shape
 
 
@@ -144,41 +155,31 @@ class TestRandomResizedCrop:
     def test_forced_full_crop_is_identity(self):
         img = sample_image(5)
         gen = ScriptedGen(uniform=[1.0, 0.0], integers=[0, 0])
-        out = _random_resized_crop_impl(img, gen, CropParams())
+        out = _resized_crop(img, gen, CropParams())
         assert np.max(np.abs(out - img)) < 1e-12
 
     def test_constant_image_preserved(self):
         img = np.full((64, 64, 3), 0.6)
-        out = random_resized_crop(img, RngStream(seed=2))
+        out = augment(img, "randcrop", RngStream(seed=2))
         np.testing.assert_allclose(out, 0.6, atol=1e-12)
-
-    def test_realized_area_within_range(self):
-        params = CropParams()
-        for idx in range(2000):
-            gen = RngStream(seed=6, epoch=1, index=idx, view=0).generator()
-            rect = _sample_crop_rect(64, 64, gen, params)
-            assert rect is not None
-            _, _, ch, cw = rect
-            assert 1.0 / 1.3 <= (ch * cw) / 4096.0 <= 1.0
-            assert 0.9 <= ch / cw <= 1.1
 
     def test_deterministic_and_shape_preserving(self):
         img = sample_image(6)
         rng = RngStream(seed=8, index=3)
-        a = random_resized_crop(img, rng)
-        b = random_resized_crop(img, rng)
+        a = augment(img, "randcrop", rng)
+        b = augment(img, "randcrop", rng)
         assert np.array_equal(a, b) and a.shape == img.shape
 
 
 class TestRaAug:
     def test_identity_branch(self):
         img = sample_image(7)
-        out = _ra_aug_impl(img, ScriptedGen(random=[0.1]), EraseParams(), CropParams())
+        out = _ra_aug(img, ScriptedGen(random=[0.1]), EraseParams(), CropParams())
         assert np.array_equal(out, img)
 
     def test_erase_branch_locality(self):
         img = sample_image(8)
-        out = _ra_aug_impl(img, ScriptedGen(random=[0.5], seed=3), EraseParams(), CropParams())
+        out = _ra_aug(img, ScriptedGen(random=[0.5], seed=3), EraseParams(), CropParams())
         diff = np.any(out != img, axis=2)
         rows = np.flatnonzero(diff.any(axis=1))
         cols = np.flatnonzero(diff.any(axis=0))
@@ -204,7 +205,7 @@ class TestRaAug:
     def test_deterministic(self):
         img = sample_image(9)
         rng = RngStream(seed=12, epoch=2, index=7, view=1)
-        assert np.array_equal(ra_aug(img, rng), ra_aug(img, rng))
+        assert np.array_equal(augment(img, "raaug", rng), augment(img, "raaug", rng))
 
 
 class TestDfdcSelim:
@@ -273,6 +274,24 @@ class TestApplyAugmentAndPairs:
     def test_bad_range_rejected(self):
         with pytest.raises(ContractError):
             AugStrategy("re", erase=EraseParams(area_range=(0.3, 0.1)))
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            dict(aspect_range=(0.0, 2.0)),
+            dict(area_range=(-0.5, 0.1)),
+            dict(area_range=(2.0, 3.0)),
+            dict(max_attempts=0),
+        ],
+        ids=["aspect_zero", "area_negative", "area_above_one", "no_attempts"],
+    )
+    @pytest.mark.parametrize("record", ["erase", "crop"])
+    def test_unusable_rect_params_rejected(self, params, record):
+        # unchecked, the first two crash the sampler with a bare math domain
+        # error and the last two silently return the input unchanged
+        cls = EraseParams if record == "erase" else CropParams
+        with pytest.raises(ContractError, match=record):
+            AugStrategy("raaug", **{record: cls(**params)})
 
 
 class TestCropEnlarged:

@@ -1,18 +1,13 @@
-"""Tests for the consistency penalties, weighted CE, and combined loss."""
+"""Tests for the batch consistency penalties and the batch weighted CE.
+
+Single-pair properties are checked on batches of one ([1, d] rows, length-1
+views): both losses sum over pairs, so a batch of one is the pair loss.
+"""
 
 import numpy as np
 import pytest
 
-from twoview.losses import (
-    LossConfig,
-    batch_ce,
-    batch_consistency,
-    cos_consistency,
-    l1_consistency,
-    l2_consistency,
-    total_loss,
-    weighted_ce,
-)
+from twoview.losses import batch_ce, batch_consistency
 from twoview.ndgrad import (
     ContractError,
     DegenerateVectorError,
@@ -28,86 +23,102 @@ def vec(arr, rg=False):
     return Tensor(np.asarray(arr, dtype=np.float64), requires_grad=rg)
 
 
+def row(arr, rg=False):
+    """One [1, d] batch row."""
+    return vec(np.asarray(arr, dtype=np.float64)[None], rg)
+
+
+def pair_penalty(a, b, kind="cos"):
+    return batch_consistency(row(a), row(b), kind).item()
+
+
+def pair_ce(p, y, weights=(4.0, 1.0)):
+    """CE of one view: a batch of one pair whose two views agree, halved."""
+    return batch_ce(vec([p]), vec([p]), np.array([y]), weights).item() / 2.0
+
+
 class TestCosConsistency:
     def test_identical_direction_zero(self):
-        f = vec([0.3, -0.2, 1.5])
-        assert abs(cos_consistency(f, vec([0.6, -0.4, 3.0])).item()) < 1e-12
-        assert cos_consistency(f, f).item() < 1e-12
+        f = [0.3, -0.2, 1.5]
+        assert abs(pair_penalty(f, [0.6, -0.4, 3.0])) < 1e-12
+        assert pair_penalty(f, f) < 1e-12
 
     def test_orthogonal_gives_one(self):
-        assert abs(cos_consistency(vec([1.0, 0.0]), vec([0.0, 2.0])).item() - 1.0) < 1e-12
+        assert abs(pair_penalty([1.0, 0.0], [0.0, 2.0]) - 1.0) < 1e-12
 
     def test_opposite_gives_four(self):
-        f = vec([0.5, -1.0, 2.0])
-        g = vec([-0.5, 1.0, -2.0])
-        assert abs(cos_consistency(f, g).item() - 4.0) < 1e-12
+        assert abs(pair_penalty([0.5, -1.0, 2.0], [-0.5, 1.0, -2.0]) - 4.0) < 1e-12
 
     def test_range_symmetry_scale_invariance(self):
         rng = np.random.default_rng(0)
         for _ in range(200):
             a = rng.uniform(-1, 1, 6)
             b = rng.uniform(-1, 1, 6)
-            val = cos_consistency(vec(a), vec(b)).item()
+            val = pair_penalty(a, b)
             assert 0.0 <= val <= 4.0
-            assert abs(val - cos_consistency(vec(b), vec(a)).item()) < 1e-12
+            assert abs(val - pair_penalty(b, a)) < 1e-12
             s, t = rng.uniform(0.1, 10, 2)
-            scaled = cos_consistency(vec(s * a), vec(t * b)).item()
-            assert abs(val - scaled) < 1e-12
+            assert abs(val - pair_penalty(s * a, t * b)) < 1e-12
 
     def test_gradient_orthogonal_to_input(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
-            f1 = Tensor(rng.uniform(-1, 1, 8), requires_grad=True)
-            f2 = Tensor(rng.uniform(-1, 1, 8))
-            cos_consistency(f1, f2).backward()
-            g = f1.grad
+            f1 = row(rng.uniform(-1, 1, 8), rg=True)
+            f2 = row(rng.uniform(-1, 1, 8))
+            batch_consistency(f1, f2, "cos").backward()
+            g = f1.grad[0]
             bound = 1e-9 * np.linalg.norm(g) * np.linalg.norm(f1.data)
-            assert abs(np.dot(g, f1.data)) <= max(bound, 1e-300)
+            assert abs(np.dot(g, f1.data[0])) <= max(bound, 1e-300)
 
     def test_degenerate_vector(self):
         with pytest.raises(DegenerateVectorError):
-            cos_consistency(vec([0.0, 0.0]), vec([1.0, 0.0]))
+            pair_penalty([0.0, 0.0], [1.0, 0.0])
 
 
 class TestL1L2:
     def test_zero_at_equality(self):
-        f = vec([1.0, 2.0])
-        assert l1_consistency(f, f).item() == 0.0
-        assert l2_consistency(f, f).item() == 0.0
+        f = [1.0, 2.0]
+        assert pair_penalty(f, f, "l1") == 0.0
+        assert pair_penalty(f, f, "l2") == 0.0
 
     def test_hand_values(self):
-        f1, f2 = vec([1.0, 0.0]), vec([0.0, 1.0])
-        assert abs(l1_consistency(f1, f2).item() - 1.0) < 1e-15
-        assert abs(l2_consistency(f1, f2).item() - 1.0) < 1e-15
+        f1, f2 = [1.0, 0.0], [0.0, 1.0]
+        assert abs(pair_penalty(f1, f2, "l1") - 1.0) < 1e-15
+        assert abs(pair_penalty(f1, f2, "l2") - 1.0) < 1e-15
 
     def test_homogeneity_distinguishes_penalties(self):
         rng = np.random.default_rng(2)
         a, b = rng.uniform(-1, 1, 5), rng.uniform(-1, 1, 5)
-        l1 = l1_consistency(vec(a), vec(b)).item()
-        l2 = l2_consistency(vec(a), vec(b)).item()
-        assert abs(l1_consistency(vec(2 * a), vec(2 * b)).item() - 2 * l1) < 1e-12
-        assert abs(l2_consistency(vec(2 * a), vec(2 * b)).item() - 4 * l2) < 1e-12
-        cos = cos_consistency(vec(a), vec(b)).item()
-        assert abs(cos_consistency(vec(2 * a), vec(2 * b)).item() - cos) < 1e-12
+        l1 = pair_penalty(a, b, "l1")
+        l2 = pair_penalty(a, b, "l2")
+        assert abs(pair_penalty(2 * a, 2 * b, "l1") - 2 * l1) < 1e-12
+        assert abs(pair_penalty(2 * a, 2 * b, "l2") - 4 * l2) < 1e-12
+        cos = pair_penalty(a, b)
+        assert abs(pair_penalty(2 * a, 2 * b) - cos) < 1e-12
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            l1_consistency(vec([1.0, 2.0]), vec([1.0, 2.0, 3.0]))
+            batch_consistency(row([1.0, 2.0]), row([1.0, 2.0, 3.0]), "l1")
+
+
+def rowwise_reference(kind, F1, F2):
+    """Plain numpy per-row penalties, written independently of the library."""
+    if kind == "cos":
+        cos = (F1 * F2).sum(axis=1) / (np.linalg.norm(F1, axis=1) * np.linalg.norm(F2, axis=1))
+        return (1.0 - cos) ** 2
+    if kind == "l1":
+        return np.abs(F1 - F2).mean(axis=1)
+    return ((F1 - F2) ** 2).mean(axis=1)
 
 
 class TestBatchConsistency:
-    @pytest.mark.parametrize("kind,per_pair", [
-        ("cos", cos_consistency),
-        ("l1", l1_consistency),
-        ("l2", l2_consistency),
-    ])
-    def test_equals_sum_of_pairs(self, kind, per_pair):
+    @pytest.mark.parametrize("kind", ["cos", "l1", "l2"])
+    def test_equals_sum_of_pairs(self, kind):
         rng = np.random.default_rng(3)
         F1 = rng.uniform(0.1, 1, (3, 6))
         F2 = rng.uniform(0.1, 1, (3, 6))
         batch = batch_consistency(vec(F1), vec(F2), kind).item()
-        loop = sum(per_pair(vec(F1[i]), vec(F2[i])).item() for i in range(3))
-        assert abs(batch - loop) < 1e-12
+        assert abs(batch - rowwise_reference(kind, F1, F2).sum()) < 1e-12
 
     def test_identical_batches_zero(self):
         F = vec(np.random.default_rng(4).uniform(0.1, 1, (4, 5)))
@@ -117,7 +128,7 @@ class TestBatchConsistency:
         rng = np.random.default_rng(5)
         a, b = rng.uniform(0.1, 1, 7), rng.uniform(0.1, 1, 7)
         batch = batch_consistency(vec(a[None]), vec(b[None]), "cos").item()
-        assert abs(batch - cos_consistency(vec(a), vec(b)).item()) < 1e-12
+        assert abs(batch - rowwise_reference("cos", a[None], b[None])[0]) < 1e-12
 
     def test_none_kind_is_constant_zero(self):
         out = batch_consistency(vec(np.ones((2, 3))), vec(np.ones((2, 3))), "none")
@@ -130,27 +141,27 @@ class TestBatchConsistency:
 
 class TestWeightedCe:
     def test_hand_values(self):
-        assert abs(weighted_ce(0.5, 1, (1.0, 1.0)).item() - np.log(2.0)) < 1e-12
-        assert abs(weighted_ce(0.5, 0, (4.0, 1.0)).item() - 4.0 * np.log(2.0)) < 1e-12
+        assert abs(pair_ce(0.5, 1, (1.0, 1.0)) - np.log(2.0)) < 1e-12
+        assert abs(pair_ce(0.5, 0, (4.0, 1.0)) - 4.0 * np.log(2.0)) < 1e-12
 
     def test_confident_correct_goes_to_zero(self):
-        assert weighted_ce(1.0 - 1e-13, 1).item() < 1e-11
-        assert weighted_ce(1e-13, 0).item() < 4e-11
+        assert pair_ce(1.0 - 1e-13, 1) < 1e-11
+        assert pair_ce(1e-13, 0) < 4e-11
 
     def test_clamp_keeps_loss_finite(self):
-        assert np.isfinite(weighted_ce(0.0, 1).item())
-        assert np.isfinite(weighted_ce(1.0, 0).item())
+        assert np.isfinite(pair_ce(0.0, 1))
+        assert np.isfinite(pair_ce(1.0, 0))
 
     def test_monotonicity(self):
         ps = np.linspace(0.01, 0.99, 25)
-        fake_losses = [weighted_ce(p, 1).item() for p in ps]
-        real_losses = [weighted_ce(p, 0).item() for p in ps]
+        fake_losses = [pair_ce(p, 1) for p in ps]
+        real_losses = [pair_ce(p, 0) for p in ps]
         assert all(a > b for a, b in zip(fake_losses, fake_losses[1:]))
         assert all(a < b for a, b in zip(real_losses, real_losses[1:]))
 
     def test_bad_label(self):
         with pytest.raises(ContractError):
-            weighted_ce(0.5, 2)
+            pair_ce(0.5, 2)
 
 
 class TestBatchCe:
@@ -161,17 +172,15 @@ class TestBatchCe:
         labels = np.array([0, 1, 1, 0, 1])
         batch = batch_ce(vec(p1), vec(p2), labels, (4.0, 1.0)).item()
         loop = sum(
-            weighted_ce(p1[i], labels[i], (4.0, 1.0)).item()
-            + weighted_ce(p2[i], labels[i], (4.0, 1.0)).item()
+            batch_ce(vec([p1[i]]), vec([p2[i]]), labels[i : i + 1], (4.0, 1.0)).item()
             for i in range(5)
         )
         assert abs(batch - loop) < 1e-12
 
     def test_single_pair_identical_views(self):
-        labels = np.array([1])
-        single = weighted_ce(0.3, 1).item()
-        batch = batch_ce(vec([0.3]), vec([0.3]), labels).item()
-        assert abs(batch - 2 * single) < 1e-12
+        # -w_fake * log(p) per view, two views
+        batch = batch_ce(vec([0.3]), vec([0.3]), np.array([1])).item()
+        assert abs(batch - 2 * -np.log(0.3)) < 1e-12
 
     def test_saturated_correct_is_near_zero(self):
         labels = np.array([1, 0])
@@ -181,51 +190,6 @@ class TestBatchCe:
     def test_mismatched_lengths(self):
         with pytest.raises(ShapeError):
             batch_ce(vec([0.5]), vec([0.5, 0.5]), np.array([1]))
-
-
-class TestTotalLoss:
-    def test_alpha_zero_returns_ce_object(self):
-        ce = vec(2.0, rg=True)
-        c = vec(0.5)
-        assert total_loss(ce, c, 0.0) is ce
-
-    def test_hand_value(self):
-        assert abs(total_loss(vec(2.0), vec(0.5), 1.0).item() - 2.5) < 1e-15
-
-    def test_gradient_linearity(self):
-        # grad(total) = grad(ce) + alpha * grad(c) on a shared input.
-        rng = np.random.default_rng(7)
-        for alpha in (0.5, 2.0):
-            x = Tensor(rng.uniform(0.1, 0.9, 6), requires_grad=True)
-
-            def parts():
-                ce = (x * x).sum()
-                c = (x.log() * -1.0).sum()
-                return ce, c
-
-            ce, c = parts()
-            total_loss(ce, c, alpha).backward()
-            g_total = x.grad.copy()
-            x.zero_grad()
-            parts()[0].backward()
-            g_ce = x.grad.copy()
-            x.zero_grad()
-            parts()[1].backward()
-            g_c = x.grad.copy()
-            assert oracles.rel_err(g_total, g_ce + alpha * g_c) < 1e-10
-
-    def test_alpha_zero_consistency_contributes_no_gradient(self):
-        x = Tensor(np.array([0.4, 0.6]), requires_grad=True)
-        ce = (x * x).sum()
-        c = (x * 100.0).sum()
-        total_loss(ce, c, 0.0).backward()
-        np.testing.assert_allclose(x.grad, 2 * x.data, atol=1e-15)
-
-    def test_negative_alpha_rejected(self):
-        with pytest.raises(ContractError):
-            total_loss(vec(1.0), vec(1.0), -0.5)
-        with pytest.raises(ContractError):
-            LossConfig(alpha=-1.0)
 
 
 class TestLossGradients:
@@ -259,15 +223,3 @@ class TestLossGradients:
         numeric = finite_diff_grad(lambda: batch_ce(P1, P2, labels).item(), [P1, P2], h=1e-6)
         for a, n in zip(analytic, numeric):
             assert oracles.rel_err(a, n) < 1e-6
-
-
-class TestLossConfig:
-    def test_defaults(self):
-        cfg = LossConfig()
-        assert cfg.penalty == "cos" and cfg.alpha == 1.0 and (cfg.w_real, cfg.w_fake) == (4.0, 1.0)
-
-    def test_validation(self):
-        with pytest.raises(ContractError):
-            LossConfig(penalty="huber")
-        with pytest.raises(ContractError):
-            LossConfig(w_real=0.0)

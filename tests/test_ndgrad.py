@@ -178,7 +178,7 @@ class TestSoftmax:
 
 class TestL2Normalize:
     def test_hand_case(self):
-        np.testing.assert_allclose(l2_normalize(t([3.0, 4.0])).data, [0.6, 0.8])
+        np.testing.assert_allclose(l2_normalize(t([[3.0, 4.0]])).data, [[0.6, 0.8]])
 
     def test_idempotent_and_unit_norm(self):
         rng = np.random.default_rng(13)
@@ -190,7 +190,7 @@ class TestL2Normalize:
 
     def test_degenerate_vector(self):
         with pytest.raises(DegenerateVectorError):
-            l2_normalize(t([0.0, 0.0]))
+            l2_normalize(t([[0.0, 0.0]]))
         with pytest.raises(DegenerateVectorError):
             l2_normalize(t(np.vstack([np.ones(4), np.zeros(4)])))
 
@@ -300,7 +300,7 @@ class TestGradients:
     def test_l2_normalize(self):
         x = t(self.rng.uniform(0.3, 1.0, (4, 6)))
         fd_check(lambda: self.weighted_sum(l2_normalize(x)), [x])
-        v = t(self.rng.uniform(0.3, 1.0, 5))
+        v = t(self.rng.uniform(0.3, 1.0, (1, 5)))
         fd_check(lambda: self.weighted_sum(l2_normalize(v)), [v])
 
 
@@ -378,6 +378,11 @@ class TestShapeErrors:
     def test_elementwise_mismatch(self):
         with pytest.raises(ShapeError):
             _ = t(np.ones((2, 3))) + t(np.ones((3, 2)))
+
+    def test_l2_normalize_needs_rows(self):
+        for shape in ((4,), (1, 2, 4)):
+            with pytest.raises(ShapeError):
+                l2_normalize(t(np.ones(shape)))
 
     def test_separable_even_kernel(self):
         with pytest.raises(ShapeError):

@@ -8,7 +8,7 @@ import pytest
 import oracles
 from twoview import trainer
 from twoview.augment import AugStrategy, RngStream, derive_seed, make_pair
-from twoview.losses import LossConfig, batch_ce
+from twoview.losses import batch_ce, batch_consistency
 from twoview.metrics import MetricUndefinedError
 from twoview.model import (
     ClassifierParams,
@@ -124,10 +124,6 @@ class TestTrainConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ContractError):
             TrainConfig(**kwargs)
-
-    def test_loss_config(self):
-        lc = tiny_config(alpha=2.0, penalty="l1", w_real=3.0).loss_config()
-        assert lc == LossConfig(penalty="l1", alpha=2.0, w_real=3.0, w_fake=1.0)
 
 
 class TestEarlyStopper:
@@ -297,20 +293,18 @@ class TestTrainStep:
         opt = Adam(named_parameters(enc, cls), lr=1e-3)
         before = {k: v.data.copy() for k, v in named_parameters(enc, cls).items()}
         pairs = self.micro_batch(tiny_dataset)
-        ce, c = train_step(pairs, enc, cls, opt, LossConfig())
+        ce, c = train_step(pairs, enc, cls, opt, TrainConfig())
         assert np.isfinite(ce) and np.isfinite(c) and c >= 0
         for name, p in named_parameters(enc, cls).items():
             assert not np.array_equal(p.data, before[name]), name
 
-    def test_alpha_zero_matches_ce_only_trainer(self, tiny_dataset):
-        pairs = self.micro_batch(tiny_dataset)
-        cfg = LossConfig(alpha=0.0)
-
+    def assert_matches_hand_rolled_step(self, pairs, cfg):
         enc_a, cls_a = init_params(TINY_MODEL, seed=7)
         opt_a = Adam(named_parameters(enc_a, cls_a))
         train_step(pairs, enc_a, cls_a, opt_a, cfg)
 
-        # hand-rolled CE-only step: no consistency term anywhere in the graph
+        # hand-rolled step on ce + alpha * penalty; at alpha = 0 there is no
+        # consistency term anywhere in the graph
         enc_b, cls_b = init_params(TINY_MODEL, seed=7)
         opt_b = Adam(named_parameters(enc_b, cls_b))
         n = len(pairs)
@@ -319,15 +313,26 @@ class TestTrainStep:
         reps, _ = encoder_forward(Tensor(np.concatenate([x1, x2])), enc_b)
         probs = classifier_forward(reps, cls_b)
         labels = np.array([p.label for p in pairs])
-        ce = batch_ce(probs[:n], probs[n:], labels, (cfg.w_real, cfg.w_fake))
+        loss = batch_ce(probs[:n], probs[n:], labels, (cfg.w_real, cfg.w_fake))
+        if cfg.alpha > 0:
+            loss = loss + batch_consistency(reps[:n], reps[n:], cfg.penalty) * cfg.alpha
         opt_b.zero_grad()
-        ce.backward()
+        loss.backward()
         opt_b.step()
 
         for name in named_parameters(enc_a, cls_a):
             a = named_parameters(enc_a, cls_a)[name].data
             b = named_parameters(enc_b, cls_b)[name].data
             assert np.array_equal(a, b), name
+
+    def test_alpha_zero_matches_ce_only_trainer(self, tiny_dataset):
+        pairs = self.micro_batch(tiny_dataset)
+        self.assert_matches_hand_rolled_step(pairs, TrainConfig(alpha=0.0, w_real=3.0, w_fake=0.5))
+
+    def test_loss_fields_come_from_config(self, tiny_dataset):
+        pairs = self.micro_batch(tiny_dataset)
+        cfg = TrainConfig(alpha=2.0, penalty="l1", w_real=3.0, w_fake=0.5)
+        self.assert_matches_hand_rolled_step(pairs, cfg)
 
     def test_identity_views_zero_consistency(self, tiny_dataset):
         samples = tiny_dataset.train[:4]
@@ -337,7 +342,7 @@ class TestTrainStep:
         ]
         enc, cls = init_params(TINY_MODEL, seed=0)
         opt = Adam(named_parameters(enc, cls))
-        _, c = train_step(pairs, enc, cls, opt, LossConfig())
+        _, c = train_step(pairs, enc, cls, opt, TrainConfig())
         assert c < 1e-12
 
     def test_full_loss_gradient_matches_finite_differences(self, tiny_dataset):
@@ -351,7 +356,7 @@ class TestTrainStep:
         enc, cls = init_params(config, seed=9)
         params = named_parameters(enc, cls)
         pairs = self.micro_batch(tiny_dataset, n=2)
-        cfg = LossConfig(alpha=1.0)
+        cfg = TrainConfig(alpha=1.0)
         h = 1e-6
 
         def stacked():
@@ -366,10 +371,8 @@ class TestTrainStep:
             reps, _ = encoder_forward(stacked(), enc)
             probs = classifier_forward(reps, cls)
             labels = np.array([p.label for p in pairs])
-            from twoview.losses import batch_consistency, total_loss
-
             ce = batch_ce(probs[:n], probs[n:], labels, (cfg.w_real, cfg.w_fake))
-            return total_loss(ce, batch_consistency(reps[:n], reps[n:], cfg.penalty), cfg.alpha)
+            return ce + batch_consistency(reps[:n], reps[n:], cfg.penalty) * cfg.alpha
 
         loss = loss_fn()
         loss.backward()
@@ -384,13 +387,13 @@ class TestTrainStep:
         opt = Adam(named_parameters(enc, cls))
         pairs = self.micro_batch(tiny_dataset)
         with pytest.raises(DegenerateVectorError, match=pairs[0].source_id):
-            train_step(pairs, enc, cls, opt, LossConfig())
+            train_step(pairs, enc, cls, opt, TrainConfig())
 
     def test_empty_batch(self):
         enc, cls = init_params(TINY_MODEL, seed=0)
         opt = Adam(named_parameters(enc, cls))
         with pytest.raises(ContractError):
-            train_step([], enc, cls, opt, LossConfig())
+            train_step([], enc, cls, opt, TrainConfig())
 
 
 class TestTrain:
