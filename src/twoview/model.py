@@ -128,6 +128,22 @@ def named_parameters(enc: EncoderParams, cls: ClassifierParams) -> dict[str, Ten
     return out
 
 
+def detach_encoder(enc: EncoderParams) -> EncoderParams:
+    """The same parameter arrays, not copied, as constants: a forward pass records no graph."""
+    return EncoderParams(
+        stem_weight=enc.stem_weight.detach(),
+        stem_bias=enc.stem_bias.detach(),
+        stages=[
+            StageParams(s.depthwise.detach(), s.pointwise.detach(), s.bias.detach())
+            for s in enc.stages
+        ],
+    )
+
+
+def detach_classifier(cls: ClassifierParams) -> ClassifierParams:
+    return ClassifierParams(cls.weight.detach(), cls.bias.detach())
+
+
 def count_parameters(enc: EncoderParams, cls: ClassifierParams) -> int:
     return sum(p.size for p in named_parameters(enc, cls).values())
 

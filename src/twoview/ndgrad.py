@@ -41,6 +41,17 @@ def _as_array(value) -> np.ndarray:
     return arr
 
 
+def _accumulate(t: "Tensor", g: np.ndarray) -> None:
+    """Add g into t.grad, creating the buffer on the first accumulation."""
+    if t.grad is None:
+        # g + 0.0 is a fresh array with the bits of zeros + g; g itself may be
+        # shared (add hands the same g to both parents) or a read-only view.
+        # asarray keeps a 0-d sum an array rather than a numpy scalar.
+        t.grad = np.asarray(g + 0.0)
+    else:
+        t.grad += g
+
+
 class Tensor:
     """A float64 array plus the closure that backpropagates through it."""
 
@@ -63,7 +74,8 @@ class Tensor:
             out._backward = backward
             out._op = op
         # else: constant w.r.t. every leaf, so record nothing and let the
-        # graph stay pruned (evaluation passes build no graph at all).
+        # graph stay pruned (a forward pass over detached parameters, as in
+        # evaluation, builds no graph at all).
         return out
 
     # -- bookkeeping ------------------------------------------------------
@@ -118,24 +130,24 @@ class Tensor:
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into .grad across the recorded graph.
 
-        Only defined for scalar outputs.  Interior nodes get fresh gradient
-        buffers; leaf tensors accumulate into any gradient already present,
-        so callers that reuse parameters across steps should zero them first.
+        Only defined for scalar outputs.  A gradient buffer is created on the
+        first accumulation into a tensor, so a tensor that receives no
+        gradient keeps ``.grad`` None.  Leaf tensors accumulate into any
+        gradient already present, so callers that reuse parameters across
+        steps should zero them first.  Interior gradients are released as
+        soon as their node has passed them on: after the call only leaves
+        hold a ``.grad``.
         """
         if self.data.size != 1:
             raise ContractError(
                 f"backward() requires a scalar loss, got shape {self.shape}"
             )
         order = self._topo_order()
-        for node in order:
-            if node._parents:
-                node.grad = np.zeros_like(node.data)
-            elif node.grad is None:
-                node.grad = np.zeros_like(node.data)
-        self.grad = self.grad + np.ones_like(self.data)
+        _accumulate(self, np.ones_like(self.data))
         for node in reversed(order):
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     # -- scalar / elementwise arithmetic ----------------------------------
 
@@ -167,9 +179,9 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self.grad += self._reduce_to(g, self.data.shape)
+                _accumulate(self, self._reduce_to(g, self.data.shape))
             if other.requires_grad:
-                other.grad += self._reduce_to(g, other.data.shape)
+                _accumulate(other, self._reduce_to(g, other.data.shape))
 
         return Tensor._from_op(out_data, (self, other), backward, "add")
 
@@ -179,7 +191,7 @@ class Tensor:
     def __neg__(self) -> "Tensor":
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self.grad += -g
+                _accumulate(self, -g)
 
         return Tensor._from_op(-self.data, (self,), backward, "neg")
 
@@ -196,9 +208,9 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self.grad += self._reduce_to(g * other.data, self.data.shape)
+                _accumulate(self, self._reduce_to(g * other.data, self.data.shape))
             if other.requires_grad:
-                other.grad += self._reduce_to(g * self.data, other.data.shape)
+                _accumulate(other, self._reduce_to(g * self.data, other.data.shape))
 
         return Tensor._from_op(out_data, (self, other), backward, "mul")
 
@@ -213,7 +225,7 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self.grad += g * exponent * self.data ** (exponent - 1.0)
+                _accumulate(self, g * exponent * self.data ** (exponent - 1.0))
 
         return Tensor._from_op(out_data, (self,), backward, "pow")
 
@@ -221,14 +233,14 @@ class Tensor:
         # Subgradient 0 at exactly 0.
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self.grad += g * np.sign(self.data)
+                _accumulate(self, g * np.sign(self.data))
 
         return Tensor._from_op(np.abs(self.data), (self,), backward, "abs")
 
     def log(self) -> "Tensor":
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self.grad += g / self.data
+                _accumulate(self, g / self.data)
 
         return Tensor._from_op(np.log(self.data), (self,), backward, "log")
 
@@ -241,7 +253,7 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                self.grad += g * inside
+                _accumulate(self, g * inside)
 
         return Tensor._from_op(out_data, (self,), backward, "clamp")
 
@@ -253,11 +265,11 @@ class Tensor:
             if not self.requires_grad:
                 return
             if axis is None:
-                self.grad += np.broadcast_to(g, in_shape)
+                _accumulate(self, np.broadcast_to(g, in_shape))
             else:
                 axes = (axis,) if isinstance(axis, int) else tuple(axis)
                 g_exp = np.expand_dims(g, axes)
-                self.grad += np.broadcast_to(g_exp, in_shape)
+                _accumulate(self, np.broadcast_to(g_exp, in_shape))
 
         return Tensor._from_op(out_data, (self,), backward, "sum")
 
@@ -274,6 +286,8 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
+                if self.grad is None:
+                    self.grad = np.zeros_like(self.data)
                 self.grad[key] += g
 
         return Tensor._from_op(np.array(out_data), (self,), backward, "getitem")
@@ -287,7 +301,7 @@ def relu(x: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
-            x.grad += g * mask
+            _accumulate(x, g * mask)
 
     return Tensor._from_op(x.data * mask, (x,), backward, "relu")
 
@@ -307,11 +321,11 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
-            x.grad += g @ weight.data
+            _accumulate(x, g @ weight.data)
         if weight.requires_grad:
-            weight.grad += g.T @ x.data
+            _accumulate(weight, g.T @ x.data)
         if bias.requires_grad:
-            bias.grad += g.sum(axis=0)
+            _accumulate(bias, g.sum(axis=0))
 
     return Tensor._from_op(out_data, (x, weight, bias), backward, "dense")
 
@@ -357,9 +371,10 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, pad: int = 
     def backward(g: np.ndarray) -> None:
         g2 = g.reshape(n, o, ho * wo)
         if bias.requires_grad:
-            bias.grad += g.sum(axis=(0, 2, 3))
+            _accumulate(bias, g.sum(axis=(0, 2, 3)))
         if kernel.requires_grad:
-            kernel.grad += np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0).reshape(kernel.shape)
+            dk = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0)
+            _accumulate(kernel, dk.reshape(kernel.shape))
         if x.requires_grad:
             dcols = np.matmul(kmat.T, g2).reshape(n, c, kh, kw, ho, wo)
             dxp = np.zeros_like(xp)
@@ -368,16 +383,49 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, pad: int = 
                     dxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols[
                         :, :, i, j
                     ]
-            if pad:
-                x.grad += dxp[:, :, pad : pad + h, pad : pad + w]
-            else:
-                x.grad += dxp
+            _accumulate(x, dxp[:, :, pad : pad + h, pad : pad + w])
 
     return Tensor._from_op(out_data, (x, kernel, bias), backward, "conv2d")
 
 
+# Bytes of one row block in the flat depthwise kernels: small enough that a
+# block of the accumulator and its product buffer stay in cache across taps.
+_BLOCK_BYTES = 256 * 1024
+
+
+def _tap_sum(acc: np.ndarray, src: np.ndarray, weights: np.ndarray, offsets, scatter: bool):
+    """For each tap t in order, add src * weights[:, t] into acc at a flat offset.
+
+    acc and src are [rows, ...] flat planes and weights is [rows, taps].  A
+    gather (scatter=False) reads src at offsets[t] and adds into all of acc;
+    a scatter reads all of src and adds into acc at offsets[t].  Rows run in
+    blocks, so each block is read from memory once for all the taps.
+    """
+    length = src.shape[1] if scatter else acc.shape[1]
+    rows = acc.shape[0]
+    step = max(1, _BLOCK_BYTES // (8 * length))
+    buf = np.empty((min(step, rows), length))
+    for r0 in range(0, rows, step):
+        r1 = min(r0 + step, rows)
+        prod = buf[: r1 - r0]
+        for t, off in enumerate(offsets):
+            w = weights[r0:r1, t, None]
+            if scatter:
+                np.multiply(src[r0:r1], w, out=prod)
+                acc[r0:r1, off : off + length] += prod
+            else:
+                np.multiply(src[r0:r1, off : off + length], w, out=prod)
+                acc[r0:r1] += prod
+
+
 def depthwise_conv2d(x: Tensor, kernel: Tensor, pad: int = 0) -> Tensor:
-    """Per-channel cross-correlation: kernel[C,kh,kw] filters channel c of x alone."""
+    """Per-channel cross-correlation: kernel[C,kh,kw] filters channel c of x alone.
+
+    Each (sample, channel) plane of the padded input is one flat row at the
+    padded stride wp, so tap (i, j) is the contiguous slice starting at
+    i * wp + j.  The output is computed at stride wp too, and its last
+    kw - 1 columns, which wrap into the next padded row, are sliced off.
+    """
     if x.ndim != 4 or kernel.ndim != 3:
         raise ShapeError(
             f"depthwise_conv2d expects x[N,C,H,W] and kernel[C,kh,kw]; got {x.shape}, {kernel.shape}"
@@ -388,29 +436,33 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor, pad: int = 0) -> Tensor:
         raise ShapeError(f"depthwise channel mismatch: input has {c}, kernel has {ck}")
     ho = _conv_output_size(h, kh, 1, pad)
     wo = _conv_output_size(w, kw, 1, pad)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    wp = w + 2 * pad
+    # the extra bottom row keeps the last tap's flat slice inside the plane
+    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad + 1), (pad, pad)))
+    rows = n * c
+    offsets = [i * wp + j for i in range(kh) for j in range(kw)]
+    # row r of the flat layout is channel r % c
+    row_kernel = np.tile(kernel.data.reshape(c, kh * kw), (n, 1))
 
-    out_data = np.zeros((n, c, ho, wo))
-    for i in range(kh):
-        for j in range(kw):
-            out_data += xp[:, :, i : i + ho, j : j + wo] * kernel.data[None, :, i, j, None, None]
+    out = np.zeros((rows, ho * wp))
+    _tap_sum(out, xp.reshape(rows, -1), row_kernel, offsets, scatter=False)
+    out_data = np.ascontiguousarray(out.reshape(n, c, ho, wp)[:, :, :, :wo])
 
     def backward(g: np.ndarray) -> None:
         if kernel.requires_grad:
+            dk = np.empty(kernel.shape)
             for i in range(kh):
                 for j in range(kw):
-                    kernel.grad[:, i, j] += np.einsum(
-                        "nchw,nchw->c", g, xp[:, :, i : i + ho, j : j + wo]
-                    )
+                    dk[:, i, j] = np.einsum("nchw,nchw->c", g, xp[:, :, i : i + ho, j : j + wo])
+            _accumulate(kernel, dk)
         if x.requires_grad:
+            g_wide = np.empty((n, c, ho, wp))
+            g_wide[:, :, :, :wo] = g
+            g_wide[:, :, :, wo:] = 0.0
             dxp = np.zeros_like(xp)
-            for i in range(kh):
-                for j in range(kw):
-                    dxp[:, :, i : i + ho, j : j + wo] += g * kernel.data[None, :, i, j, None, None]
-            if pad:
-                x.grad += dxp[:, :, pad : pad + h, pad : pad + w]
-            else:
-                x.grad += dxp
+            flat_g = g_wide.reshape(rows, -1)
+            _tap_sum(dxp.reshape(rows, -1), flat_g, row_kernel, offsets, scatter=True)
+            _accumulate(x, dxp[:, :, pad : pad + h, pad : pad + w])
 
     return Tensor._from_op(out_data, (x, kernel), backward, "depthwise_conv2d")
 
@@ -426,20 +478,24 @@ def pointwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(
             f"pointwise dimension mismatch: x {x.shape}, weight {weight.shape}, bias {bias.shape}"
         )
-    out_data = (
-        np.einsum("oc,nchw->nohw", weight.data, x.data, optimize=True)
-        + bias.data[None, :, None, None]
-    )
+    n, c, h, w = x.shape
+    o = weight.shape[0]
+    x3 = x.data.reshape(n, c, h * w)
+    out = np.matmul(weight.data, x3)
+    out += bias.data[:, None]
 
     def backward(g: np.ndarray) -> None:
+        g3 = g.reshape(n, o, h * w)
         if x.requires_grad:
-            x.grad += np.einsum("oc,nohw->nchw", weight.data, g, optimize=True)
+            _accumulate(x, np.matmul(weight.data.T, g3).reshape(n, c, h, w))
         if weight.requires_grad:
-            weight.grad += np.einsum("nohw,nchw->oc", g, x.data, optimize=True)
+            # one [O, N*HW] @ [N*HW, C] product
+            g2 = g3.transpose(1, 0, 2).reshape(o, -1)
+            _accumulate(weight, g2 @ x3.transpose(1, 0, 2).reshape(c, -1).T)
         if bias.requires_grad:
-            bias.grad += g.sum(axis=(0, 2, 3))
+            _accumulate(bias, g.sum(axis=(0, 2, 3)))
 
-    return Tensor._from_op(out_data, (x, weight, bias), backward, "pointwise_conv2d")
+    return Tensor._from_op(out.reshape(n, o, h, w), (x, weight, bias), backward, "pointwise_conv2d")
 
 
 def separable_conv2d(x: Tensor, depthwise: Tensor, pointwise: Tensor, bias: Tensor) -> Tensor:
@@ -462,14 +518,19 @@ def avg_pool2(x: Tensor) -> Tensor:
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"avg_pool2 needs even spatial dims, got {h}x{w}")
-    out_data = x.data.reshape(n, c, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+    # the window summed in row-major order, then scaled
+    xd = x.data
+    out_data = xd[:, :, 0::2, 0::2] + xd[:, :, 0::2, 1::2]
+    out_data += xd[:, :, 1::2, 0::2]
+    out_data += xd[:, :, 1::2, 1::2]
+    out_data *= 0.25
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
-            spread = np.broadcast_to(
-                g[:, :, :, None, :, None] * 0.25, (n, c, h // 2, 2, w // 2, 2)
-            )
-            x.grad += spread.reshape(n, c, h, w)
+            # every input of a window gets a quarter of the window's gradient
+            dx = np.empty((n, c, h // 2, 2, w // 2, 2))
+            np.multiply(g[:, :, :, None, :, None], 0.25, out=dx)
+            _accumulate(x, dx.reshape(n, c, h, w))
 
     return Tensor._from_op(out_data, (x,), backward, "avg_pool2")
 
@@ -483,7 +544,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
-            x.grad += np.broadcast_to(g[:, :, None, None] / (h * w), x.data.shape)
+            _accumulate(x, np.broadcast_to(g[:, :, None, None] / (h * w), x.data.shape))
 
     return Tensor._from_op(out_data, (x,), backward, "global_avg_pool")
 
@@ -500,7 +561,7 @@ def softmax(x: Tensor) -> Tensor:
         if x.requires_grad:
             # dL/dx_i = y_i * (g_i - sum_j g_j y_j)
             dot = (g * y).sum(axis=1, keepdims=True)
-            x.grad += y * (g - dot)
+            _accumulate(x, y * (g - dot))
 
     return Tensor._from_op(y, (x,), backward, "softmax")
 
@@ -519,7 +580,7 @@ def l2_normalize(x: Tensor) -> Tensor:
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
             dot = (g * y).sum(axis=1, keepdims=True)
-            x.grad += (g - y * dot) / norms
+            _accumulate(x, (g - y * dot) / norms)
 
     return Tensor._from_op(y, (x,), backward, "l2_normalize")
 

@@ -28,6 +28,8 @@ from .model import (
     ModelConfig,
     StageParams,
     classifier_forward,
+    detach_classifier,
+    detach_encoder,
     encoder_forward,
     init_params,
     model_probs,
@@ -539,6 +541,7 @@ def score_samples(
     """Un-augmented single-view inference: one P(fake) score per sample."""
     if not samples:
         raise ContractError("score_samples needs a non-empty sample list")
+    enc, cls = detach_encoder(enc), detach_classifier(cls)
     scores = []
     for start in range(0, len(samples), batch_size):
         chunk = samples[start : start + batch_size]
@@ -562,6 +565,7 @@ def cross_view_distance(
     """
     if not samples:
         raise ContractError("cross_view_distance needs a non-empty sample list")
+    enc = detach_encoder(enc)
     total = 0.0
     for start in range(0, len(samples), batch_size):
         chunk = samples[start : start + batch_size]

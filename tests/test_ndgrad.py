@@ -74,6 +74,47 @@ class TestForwardOracles:
         ref = oracles.depthwise_ref(x, k, pad=1)
         assert oracles.rel_err(out.data, ref) < 1e-12
 
+    # Shapes a flat-stride layout can get wrong: H != W, every pad, non-square
+    # and larger kernels, one channel, one sample, and the real stage shapes.
+    @pytest.mark.parametrize(
+        "shape,kshape,pad",
+        [
+            ((2, 3, 5, 8), (3, 3, 3), 1),
+            ((2, 2, 7, 5), (2, 3, 3), 0),
+            ((2, 2, 5, 6), (2, 3, 3), 2),  # output larger than the input
+            ((2, 2, 5, 6), (2, 1, 3), 1),
+            ((2, 2, 6, 5), (2, 3, 1), 1),
+            ((2, 3, 7, 6), (3, 5, 5), 2),
+            ((2, 3, 7, 8), (3, 5, 5), 0),
+            ((3, 1, 6, 5), (1, 3, 3), 1),  # C = 1
+            ((1, 4, 5, 7), (4, 3, 3), 1),  # N = 1
+            # the three stages of the reference training config: 8 pairs, both views
+            ((16, 8, 64, 64), (8, 3, 3), 1),
+            ((16, 16, 32, 32), (16, 3, 3), 1),
+            ((16, 32, 16, 16), (32, 3, 3), 1),
+        ],
+    )
+    def test_depthwise_edge_shapes_match_loop_oracle(self, shape, kshape, pad):
+        rng = np.random.default_rng(3)
+        x = rng.uniform(-1, 1, shape)
+        k = rng.uniform(-1, 1, kshape)
+        out = depthwise_conv2d(t(x), t(k), pad=pad)
+        ref = oracles.depthwise_ref(x, k, pad=pad)
+        assert out.shape == ref.shape
+        assert oracles.rel_err(out.data, ref) < 1e-12
+
+    @pytest.mark.parametrize(
+        "shape,out_channels",
+        [((2, 3, 4, 4), 5), ((2, 3, 3, 5), 4), ((2, 1, 4, 3), 3), ((1, 4, 2, 2), 1)],
+    )
+    def test_pointwise_matches_loop_oracle(self, shape, out_channels):
+        rng = np.random.default_rng(14)
+        x = rng.uniform(-1, 1, shape)
+        w = rng.uniform(-1, 1, (out_channels, shape[1]))
+        b = rng.uniform(-1, 1, out_channels)
+        ref = oracles.conv2d_ref(x, w[:, :, None, None], b)
+        assert oracles.rel_err(pointwise_conv2d(t(x), t(w), t(b)).data, ref) < 1e-12
+
     def test_dense_hand_case(self):
         out = dense(t([[1.0, 2.0]]), t([[1.0, 1.0], [1.0, -1.0]]), t([0.0, 0.0]))
         np.testing.assert_array_equal(out.data, [[3.0, -1.0]])
@@ -128,6 +169,16 @@ class TestForwardOracles:
         rng = np.random.default_rng(10)
         xr = rng.uniform(-1, 1, (2, 3, 6, 4))
         assert oracles.rel_err(avg_pool2(t(xr)).data, oracles.avg_pool2_ref(xr)) < 1e-12
+
+    @pytest.mark.parametrize("shape", [(1, 1, 2, 2), (3, 1, 4, 8), (1, 2, 6, 2)])
+    def test_avg_pool_edge_shapes_and_layouts(self, shape):
+        rng = np.random.default_rng(15)
+        x = rng.uniform(-1, 1, shape)
+        assert oracles.rel_err(avg_pool2(t(x)).data, oracles.avg_pool2_ref(x)) < 1e-12
+        # the same values with each plane stored column by column
+        x_cols = np.ascontiguousarray(x.transpose(0, 1, 3, 2)).transpose(0, 1, 3, 2)
+        assert not x_cols.flags.c_contiguous
+        assert oracles.rel_err(avg_pool2(Tensor(x_cols)).data, oracles.avg_pool2_ref(x)) < 1e-12
 
     def test_avg_pool_constant(self):
         x = np.full((1, 2, 4, 4), 0.7)
@@ -277,8 +328,30 @@ class TestGradients:
         x, k = self.u(2, 3, 5, 5), self.u(3, 3, 3)
         fd_check(lambda: self.weighted_sum(depthwise_conv2d(x, k, pad=1)), [x, k])
 
+    @pytest.mark.parametrize(
+        "shape,kshape,pad",
+        [
+            ((2, 2, 4, 6), (2, 3, 3), 1),
+            ((1, 2, 5, 4), (2, 3, 3), 0),
+            ((2, 1, 3, 4), (1, 3, 3), 2),
+            ((1, 2, 3, 5), (2, 1, 3), 1),
+            ((2, 1, 5, 3), (1, 3, 1), 0),
+            ((1, 2, 6, 5), (2, 5, 5), 2),
+        ],
+    )
+    def test_depthwise_edge_shapes(self, shape, kshape, pad):
+        x, k = self.u(*shape), self.u(*kshape)
+        fd_check(lambda: self.weighted_sum(depthwise_conv2d(x, k, pad=pad)), [x, k])
+
     def test_pointwise(self):
         x, w, b = self.u(2, 3, 4, 4), self.u(5, 3), self.u(5)
+        fd_check(lambda: self.weighted_sum(pointwise_conv2d(x, w, b)), [x, w, b])
+
+    @pytest.mark.parametrize(
+        "shape,out_channels", [((2, 3, 3, 5), 4), ((2, 1, 4, 3), 3), ((1, 4, 2, 2), 1)]
+    )
+    def test_pointwise_edge_shapes(self, shape, out_channels):
+        x, w, b = self.u(*shape), self.u(out_channels, shape[1]), self.u(out_channels)
         fd_check(lambda: self.weighted_sum(pointwise_conv2d(x, w, b)), [x, w, b])
 
     def test_separable(self):
@@ -287,6 +360,11 @@ class TestGradients:
 
     def test_avg_pool2(self):
         x = self.u(2, 3, 4, 6)
+        fd_check(lambda: self.weighted_sum(avg_pool2(x)), [x])
+
+    @pytest.mark.parametrize("shape", [(1, 1, 2, 2), (3, 1, 4, 2), (1, 2, 6, 4)])
+    def test_avg_pool2_edge_shapes(self, shape):
+        x = self.u(*shape)
         fd_check(lambda: self.weighted_sum(avg_pool2(x)), [x])
 
     def test_global_avg_pool(self):
@@ -340,6 +418,65 @@ class TestBackwardSemantics:
         np.testing.assert_array_equal(x.grad, [6.0, 6.0])
         x.zero_grad()
         assert x.grad is None
+
+    @pytest.mark.parametrize("add_first", [True, False])
+    def test_shared_gradient_does_not_alias_between_parents(self, add_first):
+        # add hands the same g to both parents; a later accumulation into one
+        # parent must not show in the other, whichever closure runs first
+        a, b = t([1.0, 2.0]), t([3.0, 4.0])
+        terms = [(a + b).sum(), (b * 2.0).sum()]
+        if not add_first:
+            terms.reverse()
+        (terms[0] + terms[1]).backward()
+        np.testing.assert_array_equal(a.grad, [1.0, 1.0])
+        np.testing.assert_array_equal(b.grad, [3.0, 3.0])
+        assert not np.shares_memory(a.grad, b.grad)
+
+    def test_add_closure_gives_each_parent_its_own_buffer(self):
+        a, b = t([1.0, 2.0]), t([3.0, 4.0])
+        g = np.array([5.0, 6.0])
+        (a + b)._backward(g)
+        for p in (a, b):
+            np.testing.assert_array_equal(p.grad, g)
+            assert not np.shares_memory(p.grad, g)
+        assert not np.shares_memory(a.grad, b.grad)
+
+    def test_same_tensor_as_both_parents(self):
+        x = t([1.5, -2.0])
+        w = Tensor(np.array([3.0, 5.0]))
+        ((x * x) * w).sum().backward()
+        np.testing.assert_array_equal(x.grad, 2.0 * x.data * w.data)
+        x.zero_grad()
+        ((x + x) * w).sum().backward()
+        np.testing.assert_array_equal(x.grad, 2.0 * w.data)
+
+    def test_tensor_without_gradient_keeps_none(self):
+        x = t([1.0, 2.0])
+        constant = Tensor(np.array([3.0, 4.0]))
+        off_path = t([5.0])
+        _ = off_path * 2.0  # a graph the loss does not reach
+        (x * constant).sum().backward()
+        assert constant.grad is None and off_path.grad is None
+        np.testing.assert_array_equal(x.grad, [3.0, 4.0])
+
+    def test_getitem_into_fresh_buffer(self):
+        a = t(np.arange(6.0).reshape(3, 2))
+        w = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        (a[1:] * w).sum().backward()
+        np.testing.assert_array_equal(a.grad, [[0.0, 0.0], [1.0, 2.0], [3.0, 4.0]])
+        # two slices of one interior tensor, as the trainer splits the views
+        b = t([1.0, 2.0, 3.0])
+        s = b * 1.0
+        (s[:1].sum() + s[1:].sum() * 2.0).backward()
+        np.testing.assert_array_equal(b.grad, [1.0, 2.0, 2.0])
+
+    def test_interior_grads_released(self):
+        x = t([1.0, 2.0])
+        y = x * 2.0
+        z = (y * y).sum()
+        z.backward()
+        assert y.grad is None and z.grad is None
+        np.testing.assert_array_equal(x.grad, 8.0 * x.data)
 
     def test_no_graph_without_requires_grad(self):
         a = Tensor(np.ones((2, 2)))

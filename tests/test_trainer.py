@@ -16,6 +16,7 @@ from twoview.model import (
     classifier_forward,
     encoder_forward,
     init_params,
+    model_probs,
     named_parameters,
     relu_kink_margin,
 )
@@ -34,6 +35,7 @@ from twoview.trainer import (
     optimizer_from_checkpoint,
     params_from_checkpoint,
     save_checkpoint,
+    score_samples,
     snapshot_checkpoint,
     train,
     train_step,
@@ -529,6 +531,27 @@ class TestEvaluate:
             for batch_size in (64, 5):
                 assert evaluate(enc, cls, twins, batch_size=batch_size).auc == 0.5, seed
 
+    def test_builds_no_graph(self, tiny_dataset, monkeypatch):
+        enc, cls = init_params(TINY_MODEL, seed=0)
+        outputs = []
+
+        def spy(batch, enc_, cls_):
+            outputs.append(model_probs(batch, enc_, cls_))
+            return outputs[-1]
+
+        monkeypatch.setattr(trainer, "model_probs", spy)
+        scored = score_samples(enc, cls, tiny_dataset.test, batch_size=5)
+        assert len(outputs) == -(-len(tiny_dataset.test) // 5)
+        for out in outputs:
+            assert out._parents == () and not out.requires_grad
+        # same scores as a forward pass over the trainable parameters
+        x = np.stack([s.image for s in tiny_dataset.test]).transpose(0, 3, 1, 2)
+        live = model_probs(Tensor(x), enc, cls)
+        assert live.requires_grad
+        np.testing.assert_array_equal(scored.scores, live.data)
+        for p in named_parameters(enc, cls).values():
+            assert p.requires_grad and p.grad is None
+
     def test_empty_and_single_class(self, tiny_dataset):
         enc, cls = init_params(TINY_MODEL, seed=0)
         with pytest.raises(ContractError):
@@ -563,6 +586,20 @@ class TestCrossViewDistance:
         enc, _ = init_params(TINY_MODEL, seed=0)
         with pytest.raises(ContractError):
             cross_view_distance(enc, [], AugStrategy(kind="none"), seed=0)
+
+    def test_builds_no_graph(self, tiny_dataset, monkeypatch):
+        enc, _ = init_params(TINY_MODEL, seed=0)
+        reps = []
+
+        def spy(batch, enc_):
+            reps.append(encoder_forward(batch, enc_)[0])
+            return reps[-1], None
+
+        monkeypatch.setattr(trainer, "encoder_forward", spy)
+        cross_view_distance(enc, tiny_dataset.test, AugStrategy(kind="raaug"), seed=3)
+        assert reps
+        for r in reps:
+            assert r._parents == () and not r.requires_grad
 
 
 class TestSeedDerivation:
