@@ -302,73 +302,32 @@ def cmd_aug_preview(cfg: dict[str, Any], out: Path) -> None:
 # -- argument plumbing ----------------------------------------------------------
 
 
-_HANDLERS = {
-    "gen-data": cmd_gen_data,
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "cam": cmd_cam,
-    "aug-preview": cmd_aug_preview,
+_COMMANDS: dict[str, tuple[Callable[[dict[str, Any], Path], None], str]] = {
+    "gen-data": (cmd_gen_data, "generate the synthetic dataset"),
+    "train": (cmd_train, "train a model on a generated dataset"),
+    "eval": (cmd_eval, "evaluate a checkpoint on a dataset split"),
+    "cam": (cmd_cam, "export CAM heatmaps for chosen sample ids"),
+    "aug-preview": (cmd_aug_preview, "write augmented variants of one image"),
 }
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """One flag per schema key (`n_real` -> `--n-real`); unset flags parse to None."""
     parser = argparse.ArgumentParser(
         prog="twoview",
         description="Two-view consistency training for tamper detection.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
+    for command, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", metavar="PATH", help="flat key = value config file")
         p.add_argument("--out", metavar="DIR", help="output directory (required)")
-        p.add_argument("--seed", type=_parse_seed, default=None, metavar="U64")
-
-    p = sub.add_parser("gen-data", help="generate the synthetic dataset")
-    common(p)
-    p.add_argument("--n-real", dest="n_real", type=int, default=None)
-    p.add_argument("--ratio", type=int, default=None)
-    p.add_argument("--size", type=int, default=None)
-
-    p = sub.add_parser("train", help="train a model on a generated dataset")
-    common(p)
-    p.add_argument("--data", default=None, metavar="DIR")
-    p.add_argument("--alpha", type=float, default=None, metavar="F")
-    p.add_argument("--penalty", choices=PENALTY_KINDS, default=None)
-    p.add_argument("--aug", choices=STRATEGY_KINDS, default=None)
-    p.add_argument("--pairs-per-batch", dest="pairs_per_batch", type=int, default=None, metavar="N")
-    p.add_argument("--epochs", type=int, default=None, metavar="N")
-    p.add_argument("--patience", type=int, default=None, metavar="N")
-    p.add_argument("--lr", type=float, default=None, metavar="F")
-    p.add_argument("--w-real", dest="w_real", type=float, default=None, metavar="F")
-    p.add_argument("--w-fake", dest="w_fake", type=float, default=None, metavar="F")
-    p.add_argument("--channels", type=_parse_channels, default=None, metavar="C0,C1,...")
-
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset split")
-    common(p)
-    p.add_argument("--checkpoint", default=None, metavar="PATH")
-    p.add_argument("--data", default=None, metavar="DIR")
-    p.add_argument("--split", choices=SPLIT_NAMES, default=None)
-    p.add_argument(
-        "--shifted-test",
-        dest="shifted_test",
-        action="store_const",
-        const=True,
-        default=None,
-        help="corrupt the test split at load time (distribution shift)",
-    )
-
-    p = sub.add_parser("cam", help="export CAM heatmaps for chosen sample ids")
-    common(p)
-    p.add_argument("--checkpoint", default=None, metavar="PATH")
-    p.add_argument("--data", default=None, metavar="DIR")
-    p.add_argument("--ids", default=None, metavar="ID[,ID...]")
-
-    p = sub.add_parser("aug-preview", help="write augmented variants of one image")
-    common(p)
-    p.add_argument("--image", default=None, metavar="PATH")
-    p.add_argument("--aug", choices=STRATEGY_KINDS, default=None)
-    p.add_argument("--count", type=int, default=None, metavar="N")
-
+        for key, spec in _SCHEMAS[command].items():
+            flag = "--" + key.replace("_", "-")
+            if spec.cast is _parse_bool:
+                p.add_argument(flag, dest=key, action="store_const", const=True, default=None)
+            else:
+                p.add_argument(flag, dest=key, type=spec.cast, choices=spec.choices, default=None)
     return parser
 
 
@@ -394,8 +353,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
 
     command = args.command
-    schema = _SCHEMAS[command]
-    overrides = {key: getattr(args, key, None) for key in schema}
+    overrides = {key: getattr(args, key) for key in _SCHEMAS[command]}
     try:
         cfg = resolve_config(command, args.config, overrides)
         out = _prepare_out(args.out)
@@ -408,7 +366,8 @@ def main(argv=None) -> int:
 
     try:
         _echo_resolved(out, command, cfg)
-        _HANDLERS[command](cfg, out)
+        handler, _ = _COMMANDS[command]
+        handler(cfg, out)
         return 0
     except _CONFIG_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

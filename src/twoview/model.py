@@ -9,6 +9,7 @@ describe the same evidence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,38 +84,59 @@ class ClassifierParams:
     bias: Tensor  # [2]
 
 
+def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter, in draw order and checkpoint order."""
+    c0 = config.channels[0]
+    shapes: dict[str, tuple[int, ...]] = {
+        "encoder/stem/weight": (c0, 3, 3, 3),
+        "encoder/stem/bias": (c0,),
+    }
+    for i, (c_in, c_out) in enumerate(zip(config.channels, config.channels[1:])):
+        shapes[f"encoder/stage{i}/depthwise"] = (c_in, 3, 3)
+        shapes[f"encoder/stage{i}/pointwise"] = (c_out, c_in)
+        shapes[f"encoder/stage{i}/bias"] = (c_out,)
+    shapes["classifier/weight"] = (2, config.d)
+    shapes["classifier/bias"] = (2,)
+    return shapes
+
+
+def params_from_arrays(
+    config: ModelConfig, arrays: dict[str, np.ndarray]
+) -> tuple[EncoderParams, ClassifierParams]:
+    """Trainable parameter structures over the named arrays, used as given (not copied)."""
+    t = {name: Tensor(arrays[name], requires_grad=True) for name in param_shapes(config)}
+    enc = EncoderParams(stem_weight=t["encoder/stem/weight"], stem_bias=t["encoder/stem/bias"])
+    for i in range(config.n_stages):
+        enc.stages.append(
+            StageParams(
+                depthwise=t[f"encoder/stage{i}/depthwise"],
+                pointwise=t[f"encoder/stage{i}/pointwise"],
+                bias=t[f"encoder/stage{i}/bias"],
+            )
+        )
+    return enc, ClassifierParams(weight=t["classifier/weight"], bias=t["classifier/bias"])
+
+
 def init_params(
     config: ModelConfig, seed: int
 ) -> tuple[EncoderParams, ClassifierParams]:
-    """Fresh parameters, uniform in +-sqrt(1/fan_in) per layer, in a fixed draw order."""
+    """Fresh parameters, uniform in +-sqrt(1/fan_in), drawn in param_shapes order.
+
+    A weight's fan-in is the product of its trailing dims; a bias shares the
+    fan-in of the weight before it.
+    """
     gen = np.random.default_rng(int(seed))
-
-    def uniform(shape, fan_in):
+    arrays: dict[str, np.ndarray] = {}
+    for name, shape in param_shapes(config).items():
+        if len(shape) > 1:
+            fan_in = math.prod(shape[1:])
         bound = np.sqrt(1.0 / fan_in)
-        return Tensor(gen.uniform(-bound, bound, shape), requires_grad=True)
-
-    c0 = config.channels[0]
-    enc = EncoderParams(
-        stem_weight=uniform((c0, 3, 3, 3), fan_in=3 * 3 * 3),
-        stem_bias=uniform((c0,), fan_in=3 * 3 * 3),
-    )
-    for c_in, c_out in zip(config.channels, config.channels[1:]):
-        enc.stages.append(
-            StageParams(
-                depthwise=uniform((c_in, 3, 3), fan_in=3 * 3),
-                pointwise=uniform((c_out, c_in), fan_in=c_in),
-                bias=uniform((c_out,), fan_in=c_in),
-            )
-        )
-    cls = ClassifierParams(
-        weight=uniform((2, config.d), fan_in=config.d),
-        bias=uniform((2,), fan_in=config.d),
-    )
-    return enc, cls
+        arrays[name] = gen.uniform(-bound, bound, shape)
+    return params_from_arrays(config, arrays)
 
 
 def named_parameters(enc: EncoderParams, cls: ClassifierParams) -> dict[str, Tensor]:
-    """Stable name -> tensor map; the order defines checkpoint layout."""
+    """Stable name -> tensor map, in param_shapes order."""
     out: dict[str, Tensor] = {
         "encoder/stem/weight": enc.stem_weight,
         "encoder/stem/bias": enc.stem_bias,
@@ -144,10 +166,6 @@ def detach_classifier(cls: ClassifierParams) -> ClassifierParams:
     return ClassifierParams(cls.weight.detach(), cls.bias.detach())
 
 
-def count_parameters(enc: EncoderParams, cls: ClassifierParams) -> int:
-    return sum(p.size for p in named_parameters(enc, cls).values())
-
-
 def encoder_forward(batch: Tensor, enc: EncoderParams) -> tuple[Tensor, Tensor]:
     """[B,3,S,S] -> (reps [B,d], feature maps [B,d,s,s]).
 
@@ -161,24 +179,6 @@ def encoder_forward(batch: Tensor, enc: EncoderParams) -> tuple[Tensor, Tensor]:
     for stage in enc.stages:
         h = avg_pool2(relu(separable_conv2d(h, stage.depthwise, stage.pointwise, stage.bias)))
     return global_avg_pool(h), h
-
-
-def relu_kink_margin(batch: Tensor, enc: EncoderParams) -> float:
-    """Smallest |pre-activation| any relu sees on this batch.
-
-    Finite-difference gradient checks only converge where the loss is
-    locally smooth, so a probe point is valid only if this margin exceeds
-    the activation shift the parameter perturbation can cause.  Mirrors
-    encoder_forward's chain, re-exposing what relu consumes.
-    """
-    pre = conv2d(batch, enc.stem_weight, enc.stem_bias, stride=1, pad=1)
-    margin = float(np.abs(pre.data).min())
-    h = relu(pre)
-    for stage in enc.stages:
-        pre = separable_conv2d(h, stage.depthwise, stage.pointwise, stage.bias)
-        margin = min(margin, float(np.abs(pre.data).min()))
-        h = avg_pool2(relu(pre))
-    return margin
 
 
 def classifier_forward(reps: Tensor, cls: ClassifierParams) -> Tensor:

@@ -26,7 +26,6 @@ from .model import (
     ClassifierParams,
     EncoderParams,
     ModelConfig,
-    StageParams,
     classifier_forward,
     detach_classifier,
     detach_encoder,
@@ -34,6 +33,8 @@ from .model import (
     init_params,
     model_probs,
     named_parameters,
+    param_shapes,
+    params_from_arrays,
 )
 from .ndgrad import EPS_NORM, Adam, ContractError, DegenerateVectorError, Tensor
 
@@ -169,21 +170,6 @@ class Checkpoint:
     seed: int
 
 
-def _expected_param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    c0 = config.channels[0]
-    shapes: dict[str, tuple[int, ...]] = {
-        "encoder/stem/weight": (c0, 3, 3, 3),
-        "encoder/stem/bias": (c0,),
-    }
-    for i, (c_in, c_out) in enumerate(zip(config.channels, config.channels[1:])):
-        shapes[f"encoder/stage{i}/depthwise"] = (c_in, 3, 3)
-        shapes[f"encoder/stage{i}/pointwise"] = (c_out, c_in)
-        shapes[f"encoder/stage{i}/bias"] = (c_out,)
-    shapes["classifier/weight"] = (2, config.d)
-    shapes["classifier/bias"] = (2,)
-    return shapes
-
-
 def snapshot_checkpoint(
     enc: EncoderParams,
     cls: ClassifierParams,
@@ -212,22 +198,8 @@ def snapshot_checkpoint(
 
 
 def params_from_checkpoint(ckpt: Checkpoint) -> tuple[EncoderParams, ClassifierParams]:
-    """Rebuild live (trainable) parameter structures from stored arrays."""
-
-    def t(name):
-        return Tensor(ckpt.params[name].copy(), requires_grad=True)
-
-    enc = EncoderParams(stem_weight=t("encoder/stem/weight"), stem_bias=t("encoder/stem/bias"))
-    for i in range(ckpt.config.n_stages):
-        enc.stages.append(
-            StageParams(
-                depthwise=t(f"encoder/stage{i}/depthwise"),
-                pointwise=t(f"encoder/stage{i}/pointwise"),
-                bias=t(f"encoder/stage{i}/bias"),
-            )
-        )
-    cls = ClassifierParams(weight=t("classifier/weight"), bias=t("classifier/bias"))
-    return enc, cls
+    """Rebuild live (trainable) parameter structures from copies of the stored arrays."""
+    return params_from_arrays(ckpt.config, {name: arr.copy() for name, arr in ckpt.params.items()})
 
 
 def optimizer_from_checkpoint(ckpt: Checkpoint, params: dict[str, Tensor]) -> Adam:
@@ -358,19 +330,36 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"{path}: missing {what} {name!r}")
         return table.pop(name)
 
-    config = ModelConfig(
-        input_size=int(pull("config/input_size", "config entry")[0]),
-        channels=tuple(int(c) for c in pull("config/channels", "config entry")),
-        num_classes=int(pull("config/num_classes", "config entry")[0]),
-    )
-    expected = _expected_param_shapes(config)
+    def pull_ints(name, what, count=1, lo=0, bits=53):
+        # whole numbers in [lo, 2**bits); a float64 holds every integer below 2**53
+        arr = pull(name, what)
+        if arr.ndim != 1 or (count is not None and arr.size != count):
+            expected = (count,) if count else "rank 1"
+            raise CheckpointError(f"{path}: {what} {name!r} has shape {arr.shape}, expected {expected}")
+        if not np.all((arr >= lo) & (arr < 2.0**bits) & (arr == np.floor(arr))):
+            raise CheckpointError(
+                f"{path}: {what} {name!r} must hold whole numbers in [{lo}, 2**{bits}), got {arr.tolist()}"
+            )
+        return [int(v) for v in arr]
+
+    (input_size,) = pull_ints("config/input_size", "config entry", lo=1)
+    channels = pull_ints("config/channels", "config entry", count=None, lo=1)
+    (num_classes,) = pull_ints("config/num_classes", "config entry")
+    try:
+        config = ModelConfig(input_size=input_size, channels=tuple(channels), num_classes=num_classes)
+    except ContractError as exc:
+        raise CheckpointError(
+            f"{path}: config/input_size, config/channels and config/num_classes"
+            f" describe no valid model: {exc}"
+        ) from exc
+    expected = param_shapes(config)
     params: dict[str, np.ndarray] = {}
     for name, shape in expected.items():
         arr = pull(name, "parameter")
         if arr.shape != shape:
             raise CheckpointError(f"{path}: parameter {name!r} has shape {arr.shape}, expected {shape}")
         params[name] = arr
-    adam_t = int(pull("adam/t", "optimizer entry")[0])
+    (adam_t,) = pull_ints("adam/t", "optimizer entry")
     lr = float(pull("adam/lr", "optimizer entry")[0])
     beta1 = float(pull("adam/beta1", "optimizer entry")[0])
     beta2 = float(pull("adam/beta2", "optimizer entry")[0])
@@ -382,12 +371,10 @@ def load_checkpoint(path) -> Checkpoint:
         if m.shape != shape or v.shape != shape:
             raise CheckpointError(f"{path}: optimizer moments for {name!r} have the wrong shape")
         adam_m[name], adam_v[name] = m, v
-    epoch = int(pull("meta/epoch", "metadata")[0])
+    (epoch,) = pull_ints("meta/epoch", "metadata")
     best_val_auc = float(pull("meta/best_val_auc", "metadata")[0])
-    seed_halves = pull("meta/seed", "metadata")
-    if seed_halves.shape != (2,):
-        raise CheckpointError(f"{path}: meta/seed must hold two 32-bit halves")
-    seed = (int(seed_halves[0]) << 32) | int(seed_halves[1])
+    seed_high, seed_low = pull_ints("meta/seed", "metadata", count=2, bits=32)
+    seed = (seed_high << 32) | seed_low
     if table:
         raise CheckpointError(f"{path}: unexpected tensors {sorted(table)}")
     return Checkpoint(

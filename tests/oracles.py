@@ -2,7 +2,8 @@
 
 Everything here is written as directly as possible (nested loops, exhaustive
 sweeps) so that agreement with the library is evidence, not tautology.  Keep
-these independent: no imports from twoview.
+these independent: no imports from twoview.  The one exception is the probe
+at the end, which instruments the real encoder instead of copying it.
 """
 
 from __future__ import annotations
@@ -185,3 +186,31 @@ def fnv1a_ref(data: bytes) -> int:
         h ^= byte
         h = (h * 0x100000001B3) % (1 << 64)
     return h
+
+
+# -- probes of the real model ---------------------------------------------------
+
+
+def relu_kink_margin(batch, enc) -> float:
+    """Smallest |pre-activation| any relu sees in one encoder forward pass.
+
+    Finite-difference gradient checks only converge where the loss is
+    locally smooth, so a probe point is valid only if this margin exceeds
+    the activation shift the parameter perturbation can cause.  Runs the
+    real encoder_forward with model.relu wrapped to record its inputs.
+    """
+    from twoview import model
+
+    relu = model.relu
+    margins = []
+
+    def recording_relu(x):
+        margins.append(float(np.abs(x.data).min()))
+        return relu(x)
+
+    model.relu = recording_relu
+    try:
+        model.encoder_forward(batch, enc)
+    finally:
+        model.relu = relu
+    return min(margins)

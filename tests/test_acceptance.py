@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import auc_pair_count, rel_err, tdr_exhaustive, trapezoid_area
+from oracles import auc_pair_count, rel_err, relu_kink_margin, tdr_exhaustive, trapezoid_area
 from twoview.augment import (
     AugStrategy,
     CropParams,
@@ -28,7 +28,6 @@ from twoview.model import (
     encoder_forward,
     init_params,
     named_parameters,
-    relu_kink_margin,
 )
 from twoview.ndgrad import (
     Adam,

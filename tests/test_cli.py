@@ -8,10 +8,18 @@ checkpoint) are module-scoped and shared.
 import numpy as np
 import pytest
 
-from twoview.cli import ConfigError, _read_config_file, main, resolve_config
+from twoview.cli import (
+    _SCHEMAS,
+    ConfigError,
+    _build_parser,
+    _parse_bool,
+    _read_config_file,
+    main,
+    resolve_config,
+)
 from twoview.imgops import read_pgm, read_ppm
 from twoview.metrics import parse_report, read_scores_csv
-from twoview.synthdata import load_dataset
+from twoview.synthdata import gen_dataset, load_dataset
 from twoview.trainer import load_checkpoint, params_from_checkpoint
 
 
@@ -114,6 +122,86 @@ class TestResolveConfig:
         path.write_text(f"seed = {2**64}\n")
         with pytest.raises(ConfigError, match="key 'seed'"):
             resolve_config("gen-data", str(path), {})
+
+
+# One non-default value per key, spelled as a config file line would spell it.
+_TEXT = {
+    "seed": str(2**64 - 1),
+    "n_real": "9",
+    "ratio": "3",
+    "size": "48",
+    "split_train": "0.6",
+    "split_val": "0.2",
+    "split_test": "0.2",
+    "data": "some/dir",
+    "alpha": "2.5",
+    "penalty": "l2",
+    "aug": "dfdc",
+    "pairs_per_batch": "6",
+    "epochs": "3",
+    "patience": "2",
+    "lr": "0.001",
+    "w_real": "3.5",
+    "w_fake": "0.5",
+    "channels": " 8, 16 ,32",
+    "checkpoint": "run/model.ckpt",
+    "split": "val",
+    "shifted_test": "true",
+    "ids": "test_00001,test_00002",
+    "image": "in.ppm",
+    "count": "5",
+}
+_KEYS = [(command, key) for command, schema in _SCHEMAS.items() for key in schema]
+
+
+def _flag(key):
+    return "--" + key.replace("_", "-")
+
+
+class TestFlagsFromSchema:
+    def test_settable_keys_per_subcommand(self):
+        assert {c: len(schema) for c, schema in _SCHEMAS.items()} == {
+            "gen-data": 7, "train": 12, "eval": 5, "cam": 4, "aug-preview": 4,
+        }
+        for command, schema in _SCHEMAS.items():
+            parsed = vars(_build_parser().parse_args([command]))
+            assert set(parsed) == set(schema) | {"command", "config", "out"}
+            assert all(parsed[key] is None for key in schema)
+
+    @pytest.mark.parametrize("command,key", _KEYS, ids=[f"{c}-{k}" for c, k in _KEYS])
+    def test_flag_parses_like_config_line(self, command, key, tmp_path):
+        spec = _SCHEMAS[command][key]
+        text = _TEXT[key]
+        argv = [command, _flag(key)] + ([] if spec.cast is _parse_bool else [text])
+        from_flag = getattr(_build_parser().parse_args(argv), key)
+        path = tmp_path / "c.cfg"
+        path.write_text(f"{key} = {text}\n")
+        required = {k: "x" for k, s in _SCHEMAS[command].items() if s.default is None and k != key}
+        from_file = resolve_config(command, str(path), required)[key]
+        assert from_flag == from_file and type(from_flag) is type(from_file)
+        assert from_flag != spec.default
+
+    @pytest.mark.parametrize(
+        "command,key",
+        [(c, k) for c, k in _KEYS if _SCHEMAS[c][k].choices],
+        ids=[f"{c}-{k}" for c, k in _KEYS if _SCHEMAS[c][k].choices],
+    )
+    def test_flag_outside_choices_exits_2(self, command, key, tmp_path, capsys):
+        assert run_cli(command, _flag(key), "bogus", "--out", tmp_path / "o") == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_gen_data_split_flags(self, tmp_path):
+        out = tmp_path / "d"
+        assert run_cli("gen-data", "--out", out, "--n-real", 15, "--ratio", 1, "--size", 32,
+                       "--split-train", 0.6, "--split-val", 0.2, "--split-test", 0.2) == 0
+        cfg = _read_config_file(out / "resolved.cfg")
+        assert (cfg["split_train"], cfg["split_val"], cfg["split_test"]) == ("0.6", "0.2", "0.2")
+        loaded = load_dataset(out)
+        expected = gen_dataset(n_real=15, ratio=1, seed=0, size=32, split_fracs=(0.6, 0.2, 0.2))
+        counts = [len(loaded.split(name)) for name in ("train", "val", "test")]
+        assert counts == [len(expected.split(name)) for name in ("train", "val", "test")]
+        assert counts == [18, 6, 6]  # the default fractions give [22, 4, 4]
 
 
 class TestExitCodes:

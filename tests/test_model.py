@@ -8,11 +8,11 @@ from twoview.model import (
     ModelConfig,
     cam,
     classifier_forward,
-    count_parameters,
     encoder_forward,
     init_params,
     model_probs,
     named_parameters,
+    param_shapes,
 )
 from twoview.ndgrad import ContractError, ShapeError, Tensor
 
@@ -95,6 +95,21 @@ class TestEncoder:
         c = np.concatenate([p.data.ravel() for p in named_parameters(*tiny_model(4)).values()])
         assert np.array_equal(a, b) and not np.array_equal(a, c)
 
+    def test_init_draws_match_written_out_fan_ins(self):
+        # uniform in +-sqrt(1/fan_in), one draw per parameter in table order
+        fan_in = {
+            "encoder/stem/weight": 27, "encoder/stem/bias": 27,
+            "encoder/stage0/depthwise": 9, "encoder/stage0/pointwise": 4, "encoder/stage0/bias": 4,
+            "encoder/stage1/depthwise": 9, "encoder/stage1/pointwise": 6, "encoder/stage1/bias": 6,
+            "classifier/weight": 8, "classifier/bias": 8,
+        }
+        gen = np.random.default_rng(3)
+        params = named_parameters(*tiny_model(3))
+        assert list(params) == list(fan_in)
+        for name, p in params.items():
+            bound = np.sqrt(1.0 / fan_in[name])
+            assert np.array_equal(p.data, gen.uniform(-bound, bound, p.shape)), name
+
     def test_no_dead_parameters(self):
         # Every parameter should touch the loss on a generic batch.
         enc, cls = tiny_model(seed=7)
@@ -103,10 +118,15 @@ class TestEncoder:
         for name, p in named_parameters(enc, cls).items():
             assert p.grad is not None and np.any(p.grad != 0.0), name
 
-    def test_parameter_count_matches_shapes(self):
-        enc, cls = tiny_model()
-        expected = sum(p.data.size for p in named_parameters(enc, cls).values())
-        assert count_parameters(enc, cls) == expected
+    @pytest.mark.parametrize(
+        "channels",
+        [(4, 6), (3, 5, 7), (8, 16, 32, 64), (16, 32, 64, 128)],
+        ids=lambda c: "-".join(map(str, c)),
+    )
+    def test_named_parameters_follow_param_shapes(self, channels):
+        config = ModelConfig(input_size=64, channels=channels)
+        params = named_parameters(*init_params(config, seed=1))
+        assert [(name, p.shape) for name, p in params.items()] == list(param_shapes(config).items())
 
 
 class TestClassifier:

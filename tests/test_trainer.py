@@ -8,6 +8,7 @@ import pytest
 import oracles
 from twoview import trainer
 from twoview.augment import AugStrategy, RngStream, derive_seed, make_pair
+from twoview.cli import main as cli_main
 from twoview.losses import batch_ce, batch_consistency
 from twoview.metrics import MetricUndefinedError
 from twoview.model import (
@@ -18,7 +19,6 @@ from twoview.model import (
     init_params,
     model_probs,
     named_parameters,
-    relu_kink_margin,
 )
 from twoview.ndgrad import Adam, ContractError, DegenerateVectorError, Tensor, finite_diff_grad
 from twoview.synthdata import gen_dataset
@@ -275,6 +275,39 @@ class TestCheckpointCorruption:
         with pytest.raises(CheckpointError, match="trailing"):
             load_checkpoint(saved)
 
+    @pytest.mark.parametrize(
+        "entry,values",
+        [
+            ("config/input_size", [np.nan]),
+            ("config/input_size", [16.5]),
+            ("config/input_size", [32.0, 32.0]),
+            ("config/channels", [4.0, 0.0]),
+            ("config/num_classes", [3.0]),
+            ("adam/t", [-1.0]),
+            ("meta/epoch", [np.inf]),
+            ("meta/seed", [-1.0, 5.0]),
+            ("meta/seed", [0.0, 2.0**32]),
+        ],
+        ids=[
+            "input_size-nan", "input_size-fraction", "input_size-two-values", "channels-zero",
+            "num_classes-3", "adam_t-negative", "epoch-inf", "seed-negative-half", "seed-half-too-big",
+        ],
+    )
+    def test_bad_integer_metadata_names_entry(self, tmp_path, monkeypatch, capsys, entry, values):
+        # a well-formed file with a valid checksum, so only the value check can fire
+        table = trainer._tensor_table(random_checkpoint(0))
+        table[entry] = np.array(values)
+        path = tmp_path / "bad.ckpt"
+        with monkeypatch.context() as m:
+            m.setattr(trainer, "_tensor_table", lambda ckpt: table)
+            save_checkpoint(path, None)
+        with pytest.raises(CheckpointError, match=entry):
+            load_checkpoint(path)
+        code = cli_main(["eval", "--checkpoint", str(path), "--data", str(tmp_path / "d"),
+                         "--out", str(tmp_path / "o")])
+        assert code == 1  # a bad file is a runtime failure, not a usage error
+        assert entry in capsys.readouterr().err
+
 
 class TestTrainStep:
     def strategy(self):
@@ -366,7 +399,7 @@ class TestTrainStep:
             x2 = np.stack([p.x2 for p in pairs]).transpose(0, 3, 1, 2)
             return Tensor(np.concatenate([x1, x2]))
 
-        assert relu_kink_margin(stacked(), enc) > 1000 * h
+        assert oracles.relu_kink_margin(stacked(), enc) > 1000 * h
 
         def loss_fn():
             n = len(pairs)
