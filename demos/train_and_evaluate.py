@@ -54,7 +54,7 @@ def main(out_dir: str = "demo_out/mini_run"):
     fakes = [s for s in dataset.test if s.label == 1]
     x = Tensor(np.stack([s.image for s in fakes]).transpose(0, 3, 1, 2))
     reps, maps = encoder_forward(x, enc)
-    pick = int(np.argmax((reps.data @ cls.weight.data.T)[:, 1]))
+    pick = int(np.argmax((reps.data @ cls["classifier/weight"].data.T)[:, 1]))
     heat = cam(maps.data[pick], cls, class_index=1)
 
     write_ppm(out / "fake_input.ppm", fakes[pick].image)

@@ -38,7 +38,7 @@ def run(aug_kind: str, batch_views: int, epochs: int = 10, lr: float = 3e-3):
     aug = AugStrategy(aug_kind)
     val_reps = rep_of(enc, [s.image for s in ds.val])
     val_labels = np.array([s.label for s in ds.val])
-    opt = Adam({"w": cls.weight, "b": cls.bias}, lr=lr)
+    opt = Adam(cls, lr=lr)
     order_gen = np.random.default_rng(derive_seed(0, "order"))
     train = list(ds.train)
     t0 = time.time()

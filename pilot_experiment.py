@@ -41,7 +41,7 @@ def cam_hits(enc, cls, samples, size):
     fakes = [s for s in samples if s.label == 1]
     x = Tensor(np.stack([s.image for s in fakes]).transpose(0, 3, 1, 2))
     reps, maps = encoder_forward(x, enc)
-    w, b = cls.weight.data, cls.bias.data
+    w, b = cls["classifier/weight"].data, cls["classifier/bias"].data
     logits = reps.data @ w.T + b
     correct = logits[:, 1] > logits[:, 0]
     hits = total = 0

@@ -25,10 +25,6 @@ from .imgops import bilinear_resize, gaussian_blur, scale_about_center, shift_im
 from .ndgrad import ContractError
 
 
-class BoundsError(ValueError):
-    """A rectangle or index falls outside the image."""
-
-
 @dataclass(frozen=True)
 class RngStream:
     """Counter-based RNG address: (seed, epoch, sample index, view index).
@@ -290,30 +286,3 @@ def make_pair(
     x1 = apply_augment(img, strategy, rng1)
     x2 = apply_augment(img, strategy, rng2)
     return ViewPair(x1=x1, x2=x2, label=int(label), source_id=source_id)
-
-
-def crop_enlarged(
-    img: np.ndarray, bbox: tuple[int, int, int, int], factor: float, out_size: int = 64
-) -> np.ndarray:
-    """Enlarge a (top, left, height, width) box about its center, crop, resize.
-
-    The enlarged box is clipped to the image, so near-border boxes shrink
-    rather than fail; only the original box must lie inside the image.
-    """
-    img = _check_image(img)
-    h, w = img.shape[:2]
-    top, left, bh, bw = (int(v) for v in bbox)
-    if bh < 1 or bw < 1 or top < 0 or left < 0 or top + bh > h or left + bw > w:
-        raise BoundsError(f"bbox {bbox} does not fit inside a {h}x{w} image")
-    if factor < 1.0:
-        raise ContractError(f"enlargement factor must be >= 1, got {factor}")
-    cy = top + bh / 2.0
-    cx = left + bw / 2.0
-    nh = int(round(bh * factor))
-    nw = int(round(bw * factor))
-    t2 = max(int(math.floor(cy - nh / 2.0)), 0)
-    l2 = max(int(math.floor(cx - nw / 2.0)), 0)
-    b2 = min(t2 + nh, h)
-    r2 = min(l2 + nw, w)
-    crop = img[t2:b2, l2:r2]
-    return np.clip(bilinear_resize(crop, out_size, out_size), 0.0, 1.0)

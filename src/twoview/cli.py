@@ -22,7 +22,7 @@ from .augment import STRATEGY_KINDS, AugStrategy, RngStream, apply_augment, deri
 from .imgops import ImageFileError, bilinear_resize, read_ppm, write_pgm, write_ppm
 from .losses import PENALTY_KINDS
 from .metrics import MetricUndefinedError, compute_report, write_scores_csv
-from .model import ModelConfig, cam, detach_encoder, encoder_forward
+from .model import ModelConfig, cam, detach, encoder_forward
 from .ndgrad import ContractError, DegenerateVectorError, ShapeError, Tensor
 from .synthdata import SPLIT_NAMES, DatasetError, gen_dataset, load_dataset, save_dataset
 from .trainer import (
@@ -262,7 +262,7 @@ def _heat_overlay(image: np.ndarray, heat: np.ndarray) -> np.ndarray:
 def cmd_cam(cfg: dict[str, Any], out: Path) -> None:
     ckpt = load_checkpoint(cfg["checkpoint"])
     enc, cls = params_from_checkpoint(ckpt)
-    enc = detach_encoder(enc)
+    enc = detach(enc)
     dataset = load_dataset(cfg["data"])
     by_id = {s.source_id: s for name in SPLIT_NAMES for s in dataset.split(name)}
     ids = [token.strip() for token in cfg["ids"].split(",") if token.strip()]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -139,27 +138,6 @@ class MetricReport:
         return "\n".join(lines) + "\n"
 
 
-def parse_report(text: str) -> dict:
-    """Inverse of MetricReport.to_text, for tests and tooling."""
-    out: dict = {}
-    for line in text.strip().splitlines():
-        key, _, value = line.partition(":")
-        key = key.strip()
-        value = value.strip()
-        if key == "roc":
-            pts = []
-            if value:
-                for pair in value.split(";"):
-                    f, t = pair.split(",")
-                    pts.append((float(f), float(t)))
-            out[key] = tuple(pts)
-        elif key.startswith("n_"):
-            out[key] = int(value)
-        else:
-            out[key] = float(value)
-    return out
-
-
 def compute_report(scored: ScoredSet) -> MetricReport:
     """All headline metrics at once (TDR at 1% is the desk-scale companion
     to the 0.1% / 0.01% targets, which round to zero-false-positive here)."""
@@ -187,17 +165,3 @@ def write_scores_csv(path, ids, scored: ScoredSet) -> None:
         writer.writerow(["id", "score", "label"])
         for sample_id, score, label in zip(ids, scored.scores, scored.labels):
             writer.writerow([sample_id, repr(float(score)), int(label)])
-
-
-def read_scores_csv(path) -> tuple[list[str], ScoredSet]:
-    path = Path(path)
-    if not path.exists():
-        raise ContractError(f"{path}: no such scores file")
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0] != ["id", "score", "label"]:
-        raise ContractError(f"{path}: expected header id,score,label")
-    ids = [row[0] for row in rows[1:]]
-    scores = np.array([float(row[1]) for row in rows[1:]])
-    labels = np.array([int(row[2]) for row in rows[1:]])
-    return ids, ScoredSet(scores=scores, labels=labels)

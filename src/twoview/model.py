@@ -10,7 +10,7 @@ describe the same evidence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,24 +64,9 @@ class ModelConfig:
         return self.input_size // (2**self.n_stages)
 
 
-@dataclass
-class StageParams:
-    depthwise: Tensor  # [C, 3, 3]
-    pointwise: Tensor  # [O, C]
-    bias: Tensor  # [O]
-
-
-@dataclass
-class EncoderParams:
-    stem_weight: Tensor  # [c0, 3, 3, 3]
-    stem_bias: Tensor  # [c0]
-    stages: list[StageParams] = field(default_factory=list)
-
-
-@dataclass
-class ClassifierParams:
-    weight: Tensor  # [2, d]
-    bias: Tensor  # [2]
+# A model's trainable state: param_shapes names -> tensors.  The encoder's
+# mapping holds the encoder/... entries, the classifier's the classifier/... ones.
+Params = dict[str, Tensor]
 
 
 def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -100,26 +85,15 @@ def param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def params_from_arrays(
-    config: ModelConfig, arrays: dict[str, np.ndarray]
-) -> tuple[EncoderParams, ClassifierParams]:
-    """Trainable parameter structures over the named arrays, used as given (not copied)."""
-    t = {name: Tensor(arrays[name], requires_grad=True) for name in param_shapes(config)}
-    enc = EncoderParams(stem_weight=t["encoder/stem/weight"], stem_bias=t["encoder/stem/bias"])
-    for i in range(config.n_stages):
-        enc.stages.append(
-            StageParams(
-                depthwise=t[f"encoder/stage{i}/depthwise"],
-                pointwise=t[f"encoder/stage{i}/pointwise"],
-                bias=t[f"encoder/stage{i}/bias"],
-            )
-        )
-    return enc, ClassifierParams(weight=t["classifier/weight"], bias=t["classifier/bias"])
+def params_from_arrays(config: ModelConfig, arrays: dict[str, np.ndarray]) -> tuple[Params, Params]:
+    """Trainable (encoder, classifier) mappings over the named arrays, used as given (not copied)."""
+    params = {name: Tensor(arrays[name], requires_grad=True) for name in param_shapes(config)}
+    enc = {name: t for name, t in params.items() if name.startswith("encoder/")}
+    cls = {name: t for name, t in params.items() if name.startswith("classifier/")}
+    return enc, cls
 
 
-def init_params(
-    config: ModelConfig, seed: int
-) -> tuple[EncoderParams, ClassifierParams]:
+def init_params(config: ModelConfig, seed: int) -> tuple[Params, Params]:
     """Fresh parameters, uniform in +-sqrt(1/fan_in), drawn in param_shapes order.
 
     A weight's fan-in is the product of its trailing dims; a bias shares the
@@ -135,66 +109,50 @@ def init_params(
     return params_from_arrays(config, arrays)
 
 
-def named_parameters(enc: EncoderParams, cls: ClassifierParams) -> dict[str, Tensor]:
-    """Stable name -> tensor map, in param_shapes order."""
-    out: dict[str, Tensor] = {
-        "encoder/stem/weight": enc.stem_weight,
-        "encoder/stem/bias": enc.stem_bias,
-    }
-    for i, stage in enumerate(enc.stages):
-        out[f"encoder/stage{i}/depthwise"] = stage.depthwise
-        out[f"encoder/stage{i}/pointwise"] = stage.pointwise
-        out[f"encoder/stage{i}/bias"] = stage.bias
-    out["classifier/weight"] = cls.weight
-    out["classifier/bias"] = cls.bias
-    return out
+def named_parameters(enc: Params, cls: Params) -> Params:
+    """The whole model's name -> tensor map, in param_shapes order."""
+    return {**enc, **cls}
 
 
-def detach_encoder(enc: EncoderParams) -> EncoderParams:
+def detach(params: Params) -> Params:
     """The same parameter arrays, not copied, as constants: a forward pass records no graph."""
-    return EncoderParams(
-        stem_weight=enc.stem_weight.detach(),
-        stem_bias=enc.stem_bias.detach(),
-        stages=[
-            StageParams(s.depthwise.detach(), s.pointwise.detach(), s.bias.detach())
-            for s in enc.stages
-        ],
-    )
+    return {name: t.detach() for name, t in params.items()}
 
 
-def detach_classifier(cls: ClassifierParams) -> ClassifierParams:
-    return ClassifierParams(cls.weight.detach(), cls.bias.detach())
-
-
-def encoder_forward(batch: Tensor, enc: EncoderParams) -> tuple[Tensor, Tensor]:
+def encoder_forward(batch: Tensor, enc: Params) -> tuple[Tensor, Tensor]:
     """[B,3,S,S] -> (reps [B,d], feature maps [B,d,s,s]).
 
     reps is exactly global_avg_pool(maps); the maps are returned for CAM.
     """
-    if batch.ndim != 4 or batch.shape[1] != enc.stem_weight.shape[1]:
-        raise ShapeError(
-            f"encoder expects [B,{enc.stem_weight.shape[1]},S,S], got {batch.shape}"
+    stem = enc["encoder/stem/weight"]
+    if batch.ndim != 4 or batch.shape[1] != stem.shape[1]:
+        raise ShapeError(f"encoder expects [B,{stem.shape[1]},S,S], got {batch.shape}")
+    h = relu(conv2d(batch, stem, enc["encoder/stem/bias"], stride=1, pad=1))
+    i = 0
+    while f"encoder/stage{i}/depthwise" in enc:
+        stage = f"encoder/stage{i}/"
+        h = avg_pool2(
+            relu(separable_conv2d(h, enc[stage + "depthwise"], enc[stage + "pointwise"], enc[stage + "bias"]))
         )
-    h = relu(conv2d(batch, enc.stem_weight, enc.stem_bias, stride=1, pad=1))
-    for stage in enc.stages:
-        h = avg_pool2(relu(separable_conv2d(h, stage.depthwise, stage.pointwise, stage.bias)))
+        i += 1
     return global_avg_pool(h), h
 
 
-def classifier_forward(reps: Tensor, cls: ClassifierParams) -> Tensor:
+def classifier_forward(reps: Tensor, cls: Params) -> Tensor:
     """[B,d] -> per-sample probability of the fake class (softmax column 1)."""
-    if reps.ndim != 2 or reps.shape[1] != cls.weight.shape[1]:
-        raise ShapeError(f"classifier expects [B,{cls.weight.shape[1]}], got {reps.shape}")
-    probs = softmax(dense(reps, cls.weight, cls.bias))
+    weight = cls["classifier/weight"]
+    if reps.ndim != 2 or reps.shape[1] != weight.shape[1]:
+        raise ShapeError(f"classifier expects [B,{weight.shape[1]}], got {reps.shape}")
+    probs = softmax(dense(reps, weight, cls["classifier/bias"]))
     return probs[:, 1]
 
 
-def model_probs(batch: Tensor, enc: EncoderParams, cls: ClassifierParams) -> Tensor:
+def model_probs(batch: Tensor, enc: Params, cls: Params) -> Tensor:
     reps, _ = encoder_forward(batch, enc)
     return classifier_forward(reps, cls)
 
 
-def cam(feature_maps, cls: ClassifierParams, class_index: int) -> np.ndarray:
+def cam(feature_maps, cls: Params, class_index: int) -> np.ndarray:
     """Classifier-weighted sum of the final maps, min-max normalized to [0,1].
 
     The bias plays no part; a constant weighted sum normalizes to all zeros.
@@ -204,7 +162,7 @@ def cam(feature_maps, cls: ClassifierParams, class_index: int) -> np.ndarray:
         raise ShapeError(f"cam expects [d,s,s] feature maps, got {maps.shape}")
     if class_index not in (0, 1):
         raise ContractError(f"class index must be 0 or 1, got {class_index}")
-    weights = cls.weight.data[class_index]
+    weights = cls["classifier/weight"].data[class_index]
     if weights.shape[0] != maps.shape[0]:
         raise ShapeError(
             f"classifier width {weights.shape[0]} does not match {maps.shape[0]} channels"

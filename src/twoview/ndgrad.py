@@ -15,7 +15,7 @@ scalars, which keeps gradient rules short and shape bugs loud.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -603,12 +603,12 @@ class Adam:
         beta2: float = 0.999,
         eps: float = 1e-8,
     ):
-        if lr <= 0:
-            raise ContractError(f"lr must be positive, got {lr}")
+        if not 0 < lr < np.inf:
+            raise ContractError(f"lr must be finite and positive, got {lr}")
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
             raise ContractError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
-        if eps <= 0:
-            raise ContractError(f"eps must be positive, got {eps}")
+        if not 0 < eps < np.inf:
+            raise ContractError(f"eps must be finite and positive, got {eps}")
         self.params = dict(params)
         self.lr = float(lr)
         self.beta1 = float(beta1)
@@ -682,12 +682,3 @@ def finite_diff_grad(
     if names is not None:
         return dict(zip(names, grads))
     return grads
-
-
-def parameters_vector(params: Mapping[str, Tensor] | Iterable[Tensor]) -> np.ndarray:
-    """Concatenate parameter values into one flat vector (for drift checks in tests)."""
-    if isinstance(params, Mapping):
-        tensors = params.values()
-    else:
-        tensors = params
-    return np.concatenate([p.data.reshape(-1) for p in tensors])

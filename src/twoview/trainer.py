@@ -23,12 +23,10 @@ from .augment import STRATEGY_KINDS, AugStrategy, RngStream, derive_seed, make_p
 from .losses import PENALTY_KINDS, batch_ce, batch_consistency
 from .metrics import MetricReport, ScoredSet, compute_report
 from .model import (
-    ClassifierParams,
-    EncoderParams,
     ModelConfig,
+    Params,
     classifier_forward,
-    detach_classifier,
-    detach_encoder,
+    detach,
     encoder_forward,
     init_params,
     model_probs,
@@ -80,16 +78,16 @@ class TrainConfig:
             raise ContractError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if not isinstance(self.patience, int) or self.patience < 1:
             raise ContractError(f"patience must be >= 1, got {self.patience}")
-        if not self.lr > 0:
-            raise ContractError(f"lr must be > 0, got {self.lr}")
-        if self.alpha < 0:
-            raise ContractError(f"alpha must be >= 0, got {self.alpha}")
+        if not 0 < self.lr < np.inf:
+            raise ContractError(f"lr must be finite and > 0, got {self.lr}")
+        if not 0 <= self.alpha < np.inf:
+            raise ContractError(f"alpha must be finite and >= 0, got {self.alpha}")
         if self.penalty not in PENALTY_KINDS:
             raise ContractError(f"penalty must be one of {PENALTY_KINDS}, got {self.penalty!r}")
         if self.aug not in STRATEGY_KINDS:
             raise ContractError(f"aug must be one of {STRATEGY_KINDS}, got {self.aug!r}")
-        if self.w_real <= 0 or self.w_fake <= 0:
-            raise ContractError(f"class weights must be positive, got ({self.w_real}, {self.w_fake})")
+        if not (0 < self.w_real < np.inf and 0 < self.w_fake < np.inf):
+            raise ContractError(f"w_real and w_fake must be finite and positive, got ({self.w_real}, {self.w_fake})")
         if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
             raise ContractError(f"seed must be an unsigned 64-bit int, got {self.seed!r}")
 
@@ -107,22 +105,18 @@ class EpochRecord:
 class TrainHistory:
     epochs: list[EpochRecord] = field(default_factory=list)
 
-    def to_csv(self, path, deterministic_seconds: bool = True) -> None:
+    def to_csv(self, path) -> None:
         """Write the per-epoch log.
 
-        Wall time is an observation, not a function of the seed, so by
-        default the seconds column is written as 0.0 to keep the exported
-        file a pure function of (config, seed); the in-memory records keep
-        the measured values.
+        Wall time is an observation, not a function of the seed, so the
+        seconds column is written as 0.0 to keep the file a pure function of
+        (config, seed); the in-memory records keep the measured values.
         """
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["epoch", "ce_loss", "consistency_loss", "val_auc", "seconds"])
             for r in self.epochs:
-                seconds = 0.0 if deterministic_seconds else r.seconds
-                writer.writerow(
-                    [r.epoch, repr(r.ce_loss), repr(r.consistency_loss), repr(r.val_auc), repr(seconds)]
-                )
+                writer.writerow([r.epoch, repr(r.ce_loss), repr(r.consistency_loss), repr(r.val_auc), "0.0"])
 
 
 class EarlyStopper:
@@ -171,8 +165,8 @@ class Checkpoint:
 
 
 def snapshot_checkpoint(
-    enc: EncoderParams,
-    cls: ClassifierParams,
+    enc: Params,
+    cls: Params,
     opt: Adam,
     config: ModelConfig,
     epoch: int,
@@ -197,8 +191,8 @@ def snapshot_checkpoint(
     )
 
 
-def params_from_checkpoint(ckpt: Checkpoint) -> tuple[EncoderParams, ClassifierParams]:
-    """Rebuild live (trainable) parameter structures from copies of the stored arrays."""
+def params_from_checkpoint(ckpt: Checkpoint) -> tuple[Params, Params]:
+    """Rebuild live (trainable) parameter mappings from copies of the stored arrays."""
     return params_from_arrays(ckpt.config, {name: arr.copy() for name, arr in ckpt.params.items()})
 
 
@@ -330,17 +324,28 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"{path}: missing {what} {name!r}")
         return table.pop(name)
 
-    def pull_ints(name, what, count=1, lo=0, bits=53):
-        # whole numbers in [lo, 2**bits); a float64 holds every integer below 2**53
+    def pull_values(name, what, count=1):
+        # a rank-1 entry of `count` values (any length when count is None)
         arr = pull(name, what)
         if arr.ndim != 1 or (count is not None and arr.size != count):
             expected = (count,) if count else "rank 1"
             raise CheckpointError(f"{path}: {what} {name!r} has shape {arr.shape}, expected {expected}")
+        return arr
+
+    def pull_ints(name, what, count=1, lo=0, bits=53):
+        # whole numbers in [lo, 2**bits); a float64 holds every integer below 2**53
+        arr = pull_values(name, what, count)
         if not np.all((arr >= lo) & (arr < 2.0**bits) & (arr == np.floor(arr))):
             raise CheckpointError(
                 f"{path}: {what} {name!r} must hold whole numbers in [{lo}, 2**{bits}), got {arr.tolist()}"
             )
         return [int(v) for v in arr]
+
+    def pull_float(name, what, in_range, expected):
+        (value,) = pull_values(name, what)
+        if not (np.isfinite(value) and in_range(value)):
+            raise CheckpointError(f"{path}: {what} {name!r} must be finite and {expected}, got {value!r}")
+        return float(value)
 
     (input_size,) = pull_ints("config/input_size", "config entry", lo=1)
     channels = pull_ints("config/channels", "config entry", count=None, lo=1)
@@ -360,10 +365,10 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"{path}: parameter {name!r} has shape {arr.shape}, expected {shape}")
         params[name] = arr
     (adam_t,) = pull_ints("adam/t", "optimizer entry")
-    lr = float(pull("adam/lr", "optimizer entry")[0])
-    beta1 = float(pull("adam/beta1", "optimizer entry")[0])
-    beta2 = float(pull("adam/beta2", "optimizer entry")[0])
-    eps = float(pull("adam/eps", "optimizer entry")[0])
+    lr = pull_float("adam/lr", "optimizer entry", lambda v: v > 0, "> 0")
+    beta1 = pull_float("adam/beta1", "optimizer entry", lambda v: 0 <= v < 1, "in [0, 1)")
+    beta2 = pull_float("adam/beta2", "optimizer entry", lambda v: 0 <= v < 1, "in [0, 1)")
+    eps = pull_float("adam/eps", "optimizer entry", lambda v: v > 0, "> 0")
     adam_m, adam_v = {}, {}
     for name, shape in expected.items():
         m = pull(f"adam/m/{name}", "optimizer moment")
@@ -372,7 +377,7 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"{path}: optimizer moments for {name!r} have the wrong shape")
         adam_m[name], adam_v[name] = m, v
     (epoch,) = pull_ints("meta/epoch", "metadata")
-    best_val_auc = float(pull("meta/best_val_auc", "metadata")[0])
+    best_val_auc = pull_float("meta/best_val_auc", "metadata", lambda v: 0 <= v <= 1, "in [0, 1]")
     seed_high, seed_low = pull_ints("meta/seed", "metadata", count=2, bits=32)
     seed = (seed_high << 32) | seed_low
     if table:
@@ -415,9 +420,7 @@ def _check_representations(reps: np.ndarray, pairs) -> None:
         )
 
 
-def train_step(
-    pairs, enc: EncoderParams, cls: ClassifierParams, opt: Adam, config: TrainConfig
-) -> tuple[float, float]:
+def train_step(pairs, enc: Params, cls: Params, opt: Adam, config: TrainConfig) -> tuple[float, float]:
     """One optimizer step on a batch of view pairs; returns (ce, consistency) sums.
 
     Of config, only the loss fields are read: alpha, penalty, w_real, w_fake.
@@ -522,13 +525,11 @@ def train(config: TrainConfig, dataset, on_epoch=None) -> tuple[Checkpoint, Trai
     return best, history
 
 
-def score_samples(
-    enc: EncoderParams, cls: ClassifierParams, samples, batch_size: int = 64
-) -> ScoredSet:
+def score_samples(enc: Params, cls: Params, samples, batch_size: int = 64) -> ScoredSet:
     """Un-augmented single-view inference: one P(fake) score per sample."""
     if not samples:
         raise ContractError("score_samples needs a non-empty sample list")
-    enc, cls = detach_encoder(enc), detach_classifier(cls)
+    enc, cls = detach(enc), detach(cls)
     scores = []
     for start in range(0, len(samples), batch_size):
         chunk = samples[start : start + batch_size]
@@ -537,12 +538,12 @@ def score_samples(
     return ScoredSet(scores=np.concatenate(scores), labels=_labels_of(samples))
 
 
-def evaluate(enc: EncoderParams, cls: ClassifierParams, samples, batch_size: int = 64) -> MetricReport:
+def evaluate(enc: Params, cls: Params, samples, batch_size: int = 64) -> MetricReport:
     return compute_report(score_samples(enc, cls, samples, batch_size))
 
 
 def cross_view_distance(
-    enc: EncoderParams, samples, strategy: AugStrategy, seed: int, batch_size: int = 64
+    enc: Params, samples, strategy: AugStrategy, seed: int, batch_size: int = 64
 ) -> float:
     """Mean cosine-consistency penalty between two fresh views of each sample.
 
@@ -552,7 +553,7 @@ def cross_view_distance(
     """
     if not samples:
         raise ContractError("cross_view_distance needs a non-empty sample list")
-    enc = detach_encoder(enc)
+    enc = detach(enc)
     total = 0.0
     for start in range(0, len(samples), batch_size):
         chunk = samples[start : start + batch_size]

@@ -8,6 +8,8 @@ at the end, which instruments the real encoder instead of copying it.
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 
 
@@ -186,6 +188,39 @@ def fnv1a_ref(data: bytes) -> int:
         h ^= byte
         h = (h * 0x100000001B3) % (1 << 64)
     return h
+
+
+# -- readers of the files the CLI writes -----------------------------------------
+
+
+def parse_report(text: str) -> dict:
+    """Inverse of MetricReport.to_text: n_* keys as ints, roc as (fpr, tpr) pairs, the rest floats."""
+    out: dict = {}
+    for line in text.strip().splitlines():
+        key, _, value = line.partition(":")
+        key = key.strip()
+        value = value.strip()
+        if key == "roc":
+            out[key] = tuple(
+                (float(f), float(t)) for f, t in (pair.split(",") for pair in value.split(";") if pair)
+            )
+        elif key.startswith("n_"):
+            out[key] = int(value)
+        else:
+            out[key] = float(value)
+    return out
+
+
+def read_scores_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """(ids, scores, labels) from a scores file; a header other than id,score,label raises."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if not rows or rows[0] != ["id", "score", "label"]:
+        raise ValueError(f"{path}: expected header id,score,label")
+    ids = [row[0] for row in rows[1:]]
+    scores = np.array([float(row[1]) for row in rows[1:]])
+    labels = np.array([int(row[2]) for row in rows[1:]])
+    return ids, scores, labels
 
 
 # -- probes of the real model ---------------------------------------------------

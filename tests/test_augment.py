@@ -7,7 +7,6 @@ import pytest
 
 from twoview.augment import (
     AugStrategy,
-    BoundsError,
     CorruptParams,
     CropParams,
     EraseParams,
@@ -19,7 +18,6 @@ from twoview.augment import (
     _resized_crop,
     _sample_rect,
     apply_augment,
-    crop_enlarged,
     dfdc_selim,
     make_pair,
 )
@@ -292,33 +290,3 @@ class TestApplyAugmentAndPairs:
         cls = EraseParams if record == "erase" else CropParams
         with pytest.raises(ContractError, match=record):
             AugStrategy("raaug", **{record: cls(**params)})
-
-
-class TestCropEnlarged:
-    def test_hand_geometry_13px(self):
-        img = sample_image(17)
-        out = crop_enlarged(img, (27, 27, 10, 10), 1.3, out_size=13)
-        # Enlarging 10x10 about center (32, 32) by 1.3 gives the 13x13 region
-        # with top-left (25, 25); at out_size 13 the resize is the identity.
-        assert np.array_equal(out, img[25:38, 25:38])
-
-    def test_factor_one_full_image(self):
-        img = sample_image(18)
-        out = crop_enlarged(img, (0, 0, 64, 64), 1.0, out_size=64)
-        assert np.array_equal(out, img)
-
-    def test_clipping_at_border(self):
-        img = sample_image(19)
-        out = crop_enlarged(img, (0, 0, 10, 10), 2.0, out_size=20)
-        # Enlarged box would start at -5; clipping pins it to the corner.
-        assert np.array_equal(out, img[0:20, 0:20])
-
-    def test_bbox_out_of_bounds(self):
-        img = sample_image(20)
-        for bbox in [(-1, 0, 5, 5), (0, 62, 5, 5), (60, 0, 10, 5), (0, 0, 0, 5)]:
-            with pytest.raises(BoundsError):
-                crop_enlarged(img, bbox, 1.3)
-
-    def test_factor_below_one_rejected(self):
-        with pytest.raises(ContractError):
-            crop_enlarged(sample_image(21), (10, 10, 5, 5), 0.9)

@@ -18,9 +18,10 @@ from twoview.cli import (
     resolve_config,
 )
 from twoview.imgops import read_pgm, read_ppm
-from twoview.metrics import parse_report, read_scores_csv
 from twoview.synthdata import gen_dataset, load_dataset
 from twoview.trainer import load_checkpoint, params_from_checkpoint
+
+import oracles
 
 
 def run_cli(*argv):
@@ -303,6 +304,12 @@ class TestTrain:
         assert code == 2
         capsys.readouterr()
 
+    def test_nan_alpha_is_usage_error(self, data_dir, tmp_path, capsys):
+        # nan > 0 is False, so an unchecked nan alpha would train the CE-only baseline
+        code = run_cli("train", "--data", data_dir, "--out", tmp_path / "o", "--alpha", "nan")
+        assert code == 2
+        assert "alpha" in capsys.readouterr().err
+
     def test_single_channel_spec_rejected(self, data_dir, tmp_path, capsys):
         code = run_cli("train", "--data", data_dir, "--out", tmp_path / "o",
                        "--channels", "8")
@@ -318,12 +325,12 @@ class TestEval:
         out = tmp_path / "ev"
         assert run_cli("eval", "--checkpoint", run_dir / "model.ckpt", "--data", data_dir,
                        "--out", out) == 0
-        report = parse_report((out / "report.txt").read_text())
+        report = oracles.parse_report((out / "report.txt").read_text())
         assert 0.0 <= report["auc"] <= 1.0
         assert report["n_real"] + report["n_fake"] == 4  # test split of 24
-        ids, scored = read_scores_csv(out / "scores.csv")
+        ids, scores, _ = oracles.read_scores_csv(out / "scores.csv")
         assert len(ids) == 4
-        assert np.isfinite(scored.scores).all()
+        assert np.isfinite(scores).all()
 
     def test_report_echoed_to_stdout(self, run_dir, data_dir, tmp_path, capsys):
         assert run_cli("eval", "--checkpoint", run_dir / "model.ckpt", "--data", data_dir,
@@ -334,7 +341,7 @@ class TestEval:
         out = tmp_path / "ev"
         assert run_cli("eval", "--checkpoint", run_dir / "model.ckpt", "--data", data_dir,
                        "--out", out, "--split", "val") == 0
-        ids, _ = read_scores_csv(out / "scores.csv")
+        ids, _, _ = oracles.read_scores_csv(out / "scores.csv")
         assert all(i.startswith("val_") for i in ids)
 
     def test_shifted_test_changes_scores_deterministically(self, run_dir, data_dir, tmp_path):
@@ -346,7 +353,7 @@ class TestEval:
             if name != "plain":
                 argv.append("--shifted-test")
             assert run_cli(*argv) == 0
-            outs.append(read_scores_csv(out / "scores.csv")[1].scores)
+            outs.append(oracles.read_scores_csv(out / "scores.csv")[1])
         plain, shift_a, shift_b = outs
         assert not np.array_equal(plain, shift_a)
         np.testing.assert_array_equal(shift_a, shift_b)

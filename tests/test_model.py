@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from twoview.model import (
-    ClassifierParams,
     ModelConfig,
     cam,
     classifier_forward,
+    detach,
     encoder_forward,
     init_params,
     model_probs,
@@ -23,6 +23,11 @@ TINY = ModelConfig(input_size=8, channels=(4, 6, 8))
 
 def tiny_model(seed=0):
     return init_params(TINY, seed=seed)
+
+
+def head(weight, bias):
+    """A classifier mapping over the given weight [2, d] and bias [2]."""
+    return {"classifier/weight": weight, "classifier/bias": bias}
 
 
 def batch_of(n, config=TINY, seed=1):
@@ -47,7 +52,7 @@ class TestModelConfig:
 class TestEncoder:
     def test_zero_input_zero_bias_gives_zero_reps(self):
         enc, _ = tiny_model()
-        for name, p in named_parameters(enc, ClassifierParams(Tensor(np.zeros((2, TINY.d))), Tensor(np.zeros(2)))).items():
+        for name, p in enc.items():
             if name.endswith("bias"):
                 p.data[...] = 0.0
         reps, maps = encoder_forward(Tensor(np.zeros((2, 3, 8, 8))), enc)
@@ -125,24 +130,35 @@ class TestEncoder:
     )
     def test_named_parameters_follow_param_shapes(self, channels):
         config = ModelConfig(input_size=64, channels=channels)
-        params = named_parameters(*init_params(config, seed=1))
+        enc, cls = init_params(config, seed=1)
+        params = named_parameters(enc, cls)
         assert [(name, p.shape) for name, p in params.items()] == list(param_shapes(config).items())
+        assert all(name.startswith("encoder/") for name in enc)
+        assert all(name.startswith("classifier/") for name in cls)
+
+    def test_detach_shares_arrays_as_constants(self):
+        for params in tiny_model():
+            frozen = detach(params)
+            assert list(frozen) == list(params)
+            for name, t in frozen.items():
+                assert t.data is params[name].data, name
+                assert not t.requires_grad and params[name].requires_grad
 
 
 class TestClassifier:
     def test_zero_params_give_half(self):
-        cls = ClassifierParams(Tensor(np.zeros((2, 4)), requires_grad=True), Tensor(np.zeros(2), requires_grad=True))
+        cls = head(Tensor(np.zeros((2, 4)), requires_grad=True), Tensor(np.zeros(2), requires_grad=True))
         probs = classifier_forward(Tensor(np.random.default_rng(0).uniform(0, 1, (5, 4))), cls)
         np.testing.assert_allclose(probs.data, 0.5, atol=1e-15)
 
     def test_saturating_bias(self):
-        cls = ClassifierParams(Tensor(np.zeros((2, 4))), Tensor(np.array([0.0, 1000.0])))
+        cls = head(Tensor(np.zeros((2, 4))), Tensor(np.array([0.0, 1000.0])))
         probs = classifier_forward(Tensor(np.ones((2, 4))), cls)
         np.testing.assert_allclose(probs.data, 1.0, atol=1e-12)
 
     def test_hand_logits(self):
         # Logits [ln 1, ln 3] put 0.75 on the fake class.
-        cls = ClassifierParams(Tensor(np.eye(2)), Tensor(np.zeros(2)))
+        cls = head(Tensor(np.eye(2)), Tensor(np.zeros(2)))
         reps = Tensor(np.array([[np.log(1.0), np.log(3.0)]]))
         probs = classifier_forward(reps, cls)
         np.testing.assert_allclose(probs.data, [0.75], atol=1e-12)
@@ -153,7 +169,7 @@ class TestClassifier:
         assert np.all((probs.data > 0) & (probs.data < 1))
 
     def test_width_mismatch(self):
-        cls = ClassifierParams(Tensor(np.zeros((2, 6))), Tensor(np.zeros(2)))
+        cls = head(Tensor(np.zeros((2, 6))), Tensor(np.zeros(2)))
         with pytest.raises(ShapeError):
             classifier_forward(Tensor(np.zeros((1, 4))), cls)
 
@@ -162,21 +178,21 @@ class TestCam:
     def test_matches_loop_oracle_before_normalization(self):
         rng = np.random.default_rng(11)
         maps = rng.uniform(-1, 1, (6, 4, 4))
-        cls = ClassifierParams(Tensor(rng.uniform(-1, 1, (2, 6))), Tensor(rng.uniform(-1, 1, 2)))
+        cls = head(Tensor(rng.uniform(-1, 1, (2, 6))), Tensor(rng.uniform(-1, 1, 2)))
         heat = cam(maps, cls, 1)
-        raw = oracles.cam_ref(maps, cls.weight.data[1])
+        raw = oracles.cam_ref(maps, cls["classifier/weight"].data[1])
         expected = (raw - raw.min()) / (raw.max() - raw.min())
         assert oracles.rel_err(heat, expected) < 1e-12
 
     def test_single_channel_weight_one(self):
         maps = np.random.default_rng(12).uniform(0, 1, (1, 5, 5))
-        cls = ClassifierParams(Tensor(np.array([[0.0], [1.0]])), Tensor(np.zeros(2)))
+        cls = head(Tensor(np.array([[0.0], [1.0]])), Tensor(np.zeros(2)))
         heat = cam(maps, cls, 1)
         expected = (maps[0] - maps[0].min()) / (maps[0].max() - maps[0].min())
         np.testing.assert_allclose(heat, expected, atol=1e-12)
 
     def test_zero_maps_zero_heat(self):
-        cls = ClassifierParams(Tensor(np.ones((2, 3))), Tensor(np.zeros(2)))
+        cls = head(Tensor(np.ones((2, 3))), Tensor(np.zeros(2)))
         heat = cam(np.zeros((3, 4, 4)), cls, 0)
         np.testing.assert_array_equal(heat, 0.0)
 
@@ -184,14 +200,14 @@ class TestCam:
         rng = np.random.default_rng(13)
         maps = rng.uniform(0, 1, (4, 3, 3))
         w = Tensor(rng.uniform(-1, 1, (2, 4)))
-        a = cam(maps, ClassifierParams(w, Tensor(np.zeros(2))), 1)
-        b = cam(maps, ClassifierParams(w, Tensor(np.array([5.0, -3.0]))), 1)
+        a = cam(maps, head(w, Tensor(np.zeros(2))), 1)
+        b = cam(maps, head(w, Tensor(np.array([5.0, -3.0]))), 1)
         np.testing.assert_array_equal(a, b)
 
     def test_range_and_bad_class(self):
         rng = np.random.default_rng(14)
         maps = rng.uniform(0, 1, (4, 6, 6))
-        cls = ClassifierParams(Tensor(rng.uniform(-1, 1, (2, 4))), Tensor(np.zeros(2)))
+        cls = head(Tensor(rng.uniform(-1, 1, (2, 4))), Tensor(np.zeros(2)))
         heat = cam(maps, cls, 0)
         assert heat.min() >= 0.0 and heat.max() <= 1.0
         with pytest.raises(ContractError):

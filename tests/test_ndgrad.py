@@ -584,6 +584,13 @@ class TestAdam:
         with pytest.raises(ContractError):
             Adam({"p": p}, beta1=1.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["lr", "eps"])
+    def test_non_finite_hyperparameters_rejected(self, name, value):
+        p = Tensor(np.array([1.0]), requires_grad=True)
+        with pytest.raises(ContractError, match=name):
+            Adam({"p": p}, **{name: value})
+
 
 class TestFiniteDiff:
     def test_quadratic(self):
