@@ -23,7 +23,7 @@ from .imgops import ImageFileError, bilinear_resize, read_ppm, write_pgm, write_
 from .losses import PENALTY_KINDS
 from .metrics import MetricUndefinedError, compute_report, write_scores_csv
 from .model import ModelConfig, cam, detach, encoder_forward
-from .ndgrad import ContractError, DegenerateVectorError, ShapeError, Tensor
+from .ndgrad import ContractError, DegenerateVectorError, ShapeError, Tensor, _keep_freed_memory
 from .synthdata import SPLIT_NAMES, DatasetError, gen_dataset, load_dataset, save_dataset
 from .trainer import (
     CheckpointError,
@@ -347,6 +347,7 @@ _RUNTIME_ERRORS = (
 
 
 def main(argv=None) -> int:
+    _keep_freed_memory()
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -15,6 +15,9 @@ scalars, which keeps gradient rules short and shape bugs loud.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import platform
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -34,6 +37,48 @@ class DegenerateVectorError(ValueError):
 
 # Norms at or below this are considered degenerate in l2_normalize.
 EPS_NORM = 1e-12
+
+
+# -- process memory policy ----------------------------------------------------
+
+# mallopt parameter numbers from glibc's <malloc.h>.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+# glibc serves an allocation at or above this size with its own mmap, which
+# free() unmaps, so the next step faults it in again.  The largest array of a
+# step at the default `twoview train` config (16-128 channels, 32 pairs,
+# 64 px) is 67 MB: a 60 MiB threshold still faulted on every step there and
+# 68 MiB did not.  256 MiB leaves room above it.
+_MMAP_THRESHOLD = 256 << 20
+# glibc gives the free top of the heap back to the OS once it exceeds this.
+# A step frees most of what it allocated, so with the default trim the next
+# step faults it all in again: 11.9k minor faults (49 MB) per step at 8-64
+# channels and 8 pairs, 24k at the default config.  With both thresholds set
+# a step took 0 faults, and its median time fell from 125 to 98 ms and from
+# 1113 to 1004 ms (2-core Xeon, one BLAS thread, glibc 2.36).
+_TRIM_THRESHOLD = 1 << 30
+
+
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Have glibc keep the memory a training step frees for the next step.
+
+    Does nothing off glibc or where mallopt is missing.  Setting either
+    threshold turns off glibc's dynamic mmap threshold, so one without the
+    other is worse than neither: at 8-64 channels and 8 pairs, the mmap
+    threshold alone took 18.9k faults per step and the trim threshold alone
+    27.5k.  The trim threshold is therefore set only if glibc accepted the
+    mmap threshold.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD):
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
 def _as_array(value) -> np.ndarray:
@@ -288,7 +333,8 @@ class Tensor:
             if self.requires_grad:
                 if self.grad is None:
                     self.grad = np.zeros_like(self.data)
-                self.grad[key] += g
+                # unlike grad[key] += g, add.at sums repeated indices
+                np.add.at(self.grad, key, g)
 
         return Tensor._from_op(np.array(out_data), (self,), backward, "getitem")
 

@@ -13,6 +13,7 @@ derived sub-seeds, and evaluation consumes no randomness at all.
 from __future__ import annotations
 
 import csv
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,7 +35,7 @@ from .model import (
     param_shapes,
     params_from_arrays,
 )
-from .ndgrad import EPS_NORM, Adam, ContractError, DegenerateVectorError, Tensor
+from .ndgrad import EPS_NORM, Adam, ContractError, DegenerateVectorError, Tensor, _keep_freed_memory
 
 
 class CheckpointError(Exception):
@@ -235,7 +236,12 @@ def _tensor_table(ckpt: Checkpoint) -> dict[str, np.ndarray]:
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    """Binary named-tensor container with a trailing integrity checksum."""
+    """Binary named-tensor container with a trailing integrity checksum.
+
+    The bytes go to a temporary file in the same directory, which then
+    replaces `path` in one rename, so a failed save leaves any earlier file
+    at `path` as it was.
+    """
     table = _tensor_table(ckpt)
     body = bytearray()
     body += MAGIC
@@ -251,7 +257,14 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
             body += int(dim).to_bytes(4, "little")
         body += arr.astype("<f8", copy=False).tobytes()
     body += fnv1a(bytes(body)).to_bytes(8, "little")
-    Path(path).write_bytes(bytes(body))
+    path = Path(path)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(body)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class _Reader:
@@ -466,7 +479,10 @@ def train(config: TrainConfig, dataset, on_epoch=None) -> tuple[Checkpoint, Trai
     `dataset` provides .train and .val sample lists.  Returns the checkpoint
     of the epoch with the highest validation AUC (strict-improvement
     comparison, patience from the config) and the per-epoch history.
+    On glibc it first sets the process's malloc thresholds so that the
+    memory each step frees stays in the process for the next step.
     """
+    _keep_freed_memory()
     train_samples = dataset.train
     _require_both_classes(train_samples, "train")
     _require_both_classes(dataset.val, "val")

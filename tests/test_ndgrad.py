@@ -306,6 +306,8 @@ class TestGradients:
         a = self.u(6, 4)
         fd_check(lambda: self.weighted_sum(a[2:5]) + self.weighted_sum(a[:3]), [a])
         fd_check(lambda: self.weighted_sum(a[:, 1]), [a])
+        # repeated indices: each occurrence adds its share of the gradient
+        fd_check(lambda: self.weighted_sum(a[np.array([0, 0, 1, 4, 0])]), [a])
 
     def test_relu(self):
         vals = self.rng.uniform(-1, 1, (4, 5))

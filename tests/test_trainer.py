@@ -1,12 +1,14 @@
 """Training loop, early stopping, checkpoint container, evaluation."""
 
+import platform
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oracles
-from twoview import trainer
+from twoview import ndgrad, trainer
 from twoview.augment import AugStrategy, RngStream, derive_seed, make_pair
 from twoview.cli import main as cli_main
 from twoview.losses import batch_ce, batch_consistency
@@ -209,6 +211,22 @@ class TestCheckpointRoundTrip:
         save_checkpoint(tmp_path / "a.ckpt", ckpt)
         save_checkpoint(tmp_path / "b.ckpt", ckpt)
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, random_checkpoint(0))
+        before = path.read_bytes()
+
+        def write_half_then_fail(self, data):
+            with open(self, "wb") as f:
+                f.write(bytes(data)[: len(data) // 2])
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(path, random_checkpoint(1))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
     def test_u64_seed_survives(self, tmp_path):
         ckpt = random_checkpoint(0)
@@ -459,6 +477,29 @@ class TestTrainStep:
         pairs = self.micro_batch(tiny_dataset)
         with pytest.raises(DegenerateVectorError, match=pairs[0].source_id):
             train_step(pairs, enc, cls, opt, TrainConfig())
+
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the memory policy is glibc's mallopt")
+    def test_steady_state_step_takes_no_page_faults(self):
+        import resource  # Unix only, like the policy
+
+        # train-ref shapes: 8 pairs of 64 px images, channels 8-16-32-64.
+        # Without the policy each step faults about 11.9k pages back in.
+        ndgrad._keep_freed_memory()
+        samples = gen_dataset(n_real=10, ratio=1, seed=0, size=64).train[:8]
+        pairs = [
+            make_pair(s.image, s.label, AugStrategy(kind="raaug"),
+                      RngStream(0, 1, i, 0), RngStream(0, 1, i, 1), source_id=s.source_id)
+            for i, s in enumerate(samples)
+        ]
+        config = TrainConfig(model=ModelConfig(input_size=64, channels=(8, 16, 32, 64)))
+        enc, cls = init_params(config.model, seed=0)
+        opt = Adam(named_parameters(enc, cls))
+        faults = []
+        for _ in range(5):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            train_step(pairs, enc, cls, opt, config)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        assert max(faults[2:]) < 100, faults  # the first two steps are warm-up
 
     def test_empty_batch(self):
         enc, cls = init_params(TINY_MODEL, seed=0)
