@@ -9,6 +9,8 @@ at the end, which instruments the real encoder instead of copying it.
 from __future__ import annotations
 
 import csv
+import hashlib
+import struct
 
 import numpy as np
 
@@ -188,6 +190,31 @@ def fnv1a_ref(data: bytes) -> int:
         h ^= byte
         h = (h * 0x100000001B3) % (1 << 64)
     return h
+
+
+# -- checkpoint layout -----------------------------------------------------------
+
+
+def checkpoint_body(table: dict, version: int = 2) -> bytes:
+    """A checkpoint file up to its 8-byte trailer, written field by field.
+
+    Magic, u32 version, u32 tensor count; then per tensor a u16 name length,
+    the UTF-8 name, a u8 rank, one u32 per dim and the little-endian float64
+    values.  All integers are little-endian.
+    """
+    out = struct.pack("<8sII", b"CORECKPT", version, len(table))
+    for name, arr in table.items():
+        arr = np.asarray(arr, dtype=np.float64)
+        name_b = name.encode("utf-8")
+        out += struct.pack("<H", len(name_b)) + name_b
+        out += struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape)
+        out += arr.astype("<f8").tobytes()
+    return out
+
+
+def sealed(body: bytes) -> bytes:
+    """`body` followed by the format-2 trailer: its 8-byte BLAKE2b digest."""
+    return body + hashlib.blake2b(body, digest_size=8).digest()
 
 
 # -- readers of the files the CLI writes -----------------------------------------

@@ -1,6 +1,7 @@
 """Training loop, early stopping, checkpoint container, evaluation."""
 
 import platform
+import struct
 from dataclasses import replace
 from pathlib import Path
 
@@ -81,14 +82,22 @@ def random_checkpoint(seed=0, config=TINY_MODEL):
     )
 
 
-def save_with_entry(path, monkeypatch, entry, values):
+def save_with_entry(path, entry, values):
     """A well-formed file with a valid checksum whose `entry` holds `values`,
     so only the loader's value check can reject it."""
     table = trainer._tensor_table(random_checkpoint(0))
     table[entry] = np.array(values)
-    with monkeypatch.context() as m:
-        m.setattr(trainer, "_tensor_table", lambda ckpt: table)
-        save_checkpoint(path, None)
+    path.write_bytes(oracles.sealed(oracles.checkpoint_body(table)))
+    return path
+
+
+def save_overflowing_dims(path):
+    """A file with a valid checksum whose one tensor claims (2**32 - 1)**2
+    values, a count that wraps around in int64, and carries no payload."""
+    name = b"config/input_size"
+    body = struct.pack("<8sII", b"CORECKPT", 2, 1) + struct.pack("<H", len(name)) + name
+    body += struct.pack("<B2I", 2, 2**32 - 1, 2**32 - 1)
+    path.write_bytes(oracles.sealed(body))
     return path
 
 
@@ -228,6 +237,12 @@ class TestCheckpointRoundTrip:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
+    def test_layout_matches_independent_writer(self, tmp_path):
+        ckpt = random_checkpoint(4)
+        save_checkpoint(tmp_path / "c.ckpt", ckpt)
+        expected = oracles.sealed(oracles.checkpoint_body(trainer._tensor_table(ckpt)))
+        assert (tmp_path / "c.ckpt").read_bytes() == expected
+
     def test_u64_seed_survives(self, tmp_path):
         ckpt = random_checkpoint(0)
         ckpt.seed = 2**64 - 1  # would be rounded if stored as one float64
@@ -279,10 +294,17 @@ class TestCheckpointCorruption:
         data = bytearray(saved.read_bytes())
         data[8:12] = (99).to_bytes(4, "little")
         # keep the checksum consistent so the version check is what fires
-        body = bytes(data[:-8])
-        saved.write_bytes(body + fnv1a(body).to_bytes(8, "little"))
+        saved.write_bytes(oracles.sealed(bytes(data[:-8])))
         with pytest.raises(CheckpointError, match="version 99"):
             load_checkpoint(saved)
+
+    def test_format_1_is_rejected_by_version(self, tmp_path):
+        # a genuine format-1 file: the same layout, sealed with FNV-1a
+        body = oracles.checkpoint_body(trainer._tensor_table(random_checkpoint(0)), version=1)
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(body + oracles.fnv1a_ref(body).to_bytes(8, "little"))
+        with pytest.raises(CheckpointError, match="unsupported format version 1, expected 2"):
+            load_checkpoint(path)
 
     def test_truncation_names_offset(self, saved):
         data = saved.read_bytes()
@@ -303,12 +325,37 @@ class TestCheckpointCorruption:
         with pytest.raises(CheckpointError, match="checksum mismatch"):
             load_checkpoint(saved)
 
+    def test_byte_flip_sweep(self, saved):
+        data = saved.read_bytes()
+        # the first tensor's name length, name, rank, dim and payload start at
+        # 16, 18, 35, 36 and 40; the trailer is the last 8 bytes
+        offsets = {8, 12, 16, 18, 35, 36, 40, len(data) - 8, len(data) - 1}
+        offsets |= {int(o) for o in np.linspace(len(trainer.MAGIC), len(data) - 1, 64)}
+        for off in sorted(offsets):
+            flipped = bytearray(data)
+            flipped[off] ^= 0xFF
+            saved.write_bytes(bytes(flipped))
+            expected = "unsupported format version" if 8 <= off < 12 else "checksum mismatch"
+            with pytest.raises(CheckpointError, match=expected):
+                load_checkpoint(saved)
+
     def test_trailing_garbage(self, saved):
         data = saved.read_bytes()
-        body = data[:-8] + b"\x00" * 8
-        saved.write_bytes(body + fnv1a(body).to_bytes(8, "little"))
+        saved.write_bytes(oracles.sealed(data[:-8] + b"\x00" * 8))
         with pytest.raises(CheckpointError, match="trailing"):
             load_checkpoint(saved)
+
+    def test_element_count_overflow_is_truncation(self, tmp_path):
+        path = save_overflowing_dims(tmp_path / "huge.ckpt")
+        with pytest.raises(CheckpointError, match=r"truncated at offset 44 while reading payload"):
+            load_checkpoint(path)
+
+    def test_element_count_overflow_fails_eval_cleanly(self, tmp_path, capsys):
+        path = save_overflowing_dims(tmp_path / "huge.ckpt")
+        code = cli_main(["eval", "--checkpoint", str(path), "--data", str(tmp_path / "d"),
+                         "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "truncated" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "entry,values",
@@ -328,8 +375,8 @@ class TestCheckpointCorruption:
             "num_classes-3", "adam_t-negative", "epoch-inf", "seed-negative-half", "seed-half-too-big",
         ],
     )
-    def test_bad_integer_metadata_names_entry(self, tmp_path, monkeypatch, capsys, entry, values):
-        path = save_with_entry(tmp_path / "bad.ckpt", monkeypatch, entry, values)
+    def test_bad_integer_metadata_names_entry(self, tmp_path, capsys, entry, values):
+        path = save_with_entry(tmp_path / "bad.ckpt", entry, values)
         with pytest.raises(CheckpointError, match=entry):
             load_checkpoint(path)
         code = cli_main(["eval", "--checkpoint", str(path), "--data", str(tmp_path / "d"),
@@ -357,8 +404,8 @@ class TestCheckpointCorruption:
             "eps-two-values", "auc-three-values", "auc-above-one", "auc-nan",
         ],
     )
-    def test_bad_float_metadata_names_entry(self, tmp_path, monkeypatch, entry, values):
-        path = save_with_entry(tmp_path / "bad.ckpt", monkeypatch, entry, values)
+    def test_bad_float_metadata_names_entry(self, tmp_path, entry, values):
+        path = save_with_entry(tmp_path / "bad.ckpt", entry, values)
         with pytest.raises(CheckpointError, match=entry):
             load_checkpoint(path)
 
