@@ -8,7 +8,6 @@ drowning the classification gradient.
 
 import time
 
-from twoview.augment import AugStrategy
 from twoview.model import ModelConfig
 from twoview.synthdata import gen_dataset
 from twoview.trainer import (
@@ -24,8 +23,6 @@ ALPHAS = (0.0, 1.0, 2.0, 5.0, 10.0, 100.0)
 
 def main():
     dataset = gen_dataset(n_real=40, ratio=2, seed=5)
-    probe = AugStrategy(kind="raaug")
-
     print(f"{'alpha':>6s} {'test auc':>9s} {'cross-view dist':>16s} {'seconds':>8s}")
     for alpha in ALPHAS:
         config = TrainConfig(
@@ -43,7 +40,7 @@ def main():
         ckpt, _ = train(config, dataset)
         enc, cls = params_from_checkpoint(ckpt)
         auc = evaluate(enc, cls, dataset.test).auc
-        cvd = cross_view_distance(enc, dataset.test, probe, seed=999)
+        cvd = cross_view_distance(enc, dataset.test, "raaug", seed=999)
         print(f"{alpha:6g} {auc:9.3f} {cvd:16.3e} {time.time() - t0:8.1f}")
 
 

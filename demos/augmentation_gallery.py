@@ -10,7 +10,7 @@ Usage: python3 demos/augmentation_gallery.py [out_dir]
 import sys
 from pathlib import Path
 
-from twoview.augment import STRATEGY_KINDS, AugStrategy, RngStream, apply_augment
+from twoview.augment import STRATEGY_KINDS, RngStream, apply_augment
 from twoview.imgops import write_ppm
 from twoview.synthdata import gen_fake, gen_real
 
@@ -28,10 +28,9 @@ def main(out_dir: str = "demo_out/gallery"):
 
     count = 0
     for kind in STRATEGY_KINDS:
-        strategy = AugStrategy(kind=kind)
         for name, sample in (("real", base), ("fake", fake)):
             for k in range(3):
-                view = apply_augment(sample.image, strategy, RngStream(11, epoch=2, index=k))
+                view = apply_augment(sample.image, kind, RngStream(11, epoch=2, index=k))
                 write_ppm(out / f"{name}_{kind}_{k}.ppm", view)
                 count += 1
     print(f"wrote {count + 2} images to {out}/")

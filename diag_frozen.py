@@ -14,7 +14,7 @@ sys.path.insert(0, "src")
 
 import numpy as np
 
-from twoview.augment import AugStrategy, RngStream, apply_augment, derive_seed
+from twoview.augment import RngStream, apply_augment, derive_seed
 from twoview.losses import batch_ce
 from twoview.model import ModelConfig, encoder_forward, classifier_forward, init_params
 from twoview.metrics import ScoredSet, auc
@@ -35,7 +35,6 @@ def rep_of(enc, images):
 
 def run(aug_kind: str, batch_views: int, epochs: int = 10, lr: float = 3e-3):
     enc, cls = init_params(cfg, seed=0)
-    aug = AugStrategy(aug_kind)
     val_reps = rep_of(enc, [s.image for s in ds.val])
     val_labels = np.array([s.label for s in ds.val])
     opt = Adam(cls, lr=lr)
@@ -52,7 +51,7 @@ def run(aug_kind: str, batch_views: int, epochs: int = 10, lr: float = 3e-3):
                 key = (aug_kind, epoch, int(j))
                 if key not in aug_cache:
                     aug_cache[key] = apply_augment(
-                        s.image, aug, RngStream(0, epoch=epoch, index=int(j), view=0)
+                        s.image, aug_kind, RngStream(0, epoch=epoch, index=int(j), view=0)
                     )
                 views.append(aug_cache[key])
                 labels.append(s.label)

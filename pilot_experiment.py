@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 
-from twoview.augment import AugStrategy, RngStream, derive_seed, dfdc_selim
+from twoview.augment import RngStream, derive_seed, dfdc_selim
 from twoview.imgops import bilinear_resize
 from twoview.metrics import ScoredSet, auc
 from twoview.model import ModelConfig, cam, encoder_forward, init_params
@@ -16,7 +16,7 @@ from twoview.trainer import (
 CHANNELS = (8, 16, 32, 64)
 LR = 3e-3
 PAIRS = 8
-PROBE = AugStrategy(kind="raaug")
+PROBE = "raaug"
 
 
 def shifted_copy(samples, shift_seed):

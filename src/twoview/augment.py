@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,16 +64,11 @@ def derive_seed(seed: int, tag: str) -> int:
 
 
 @dataclass(frozen=True)
-class EraseParams:
-    area_range: tuple[float, float] = (0.02, 0.2)
-    aspect_range: tuple[float, float] = (0.5, 2.0)
-    max_attempts: int = 10
+class RectParams:
+    """Ranges a sampled rectangle's area fraction and aspect ratio must meet."""
 
-
-@dataclass(frozen=True)
-class CropParams:
-    area_range: tuple[float, float] = (1.0 / 1.3, 1.0)
-    aspect_range: tuple[float, float] = (0.9, 1.1)
+    area_range: tuple[float, float]
+    aspect_range: tuple[float, float]
     max_attempts: int = 10
 
 
@@ -87,46 +82,12 @@ class CorruptParams:
     scale_range: tuple[float, float] = (0.9, 1.1)
 
 
+# The fixed hyperparameters every strategy draws with.
+ERASE = RectParams(area_range=(0.02, 0.2), aspect_range=(0.5, 2.0))
+CROP = RectParams(area_range=(1.0 / 1.3, 1.0), aspect_range=(0.9, 1.1))
+CORRUPT = CorruptParams()
+
 STRATEGY_KINDS = ("none", "re", "randcrop", "raaug", "dfdc")
-
-
-@dataclass(frozen=True)
-class AugStrategy:
-    """Which augmentation to draw per view, plus its parameter records."""
-
-    kind: str
-    erase: EraseParams = field(default_factory=EraseParams)
-    crop: CropParams = field(default_factory=CropParams)
-    corrupt: CorruptParams = field(default_factory=CorruptParams)
-
-    def __post_init__(self):
-        if self.kind not in STRATEGY_KINDS:
-            raise ContractError(
-                f"unknown augmentation kind {self.kind!r}; expected one of {STRATEGY_KINDS}"
-            )
-        # the rectangle sampler takes logs of the aspect bounds and needs at
-        # least one attempt; an area range outside (0, 1] can never be met
-        for name, rect in (("erase", self.erase), ("crop", self.crop)):
-            if not 0.0 < rect.area_range[0] <= rect.area_range[1] <= 1.0:
-                raise ContractError(
-                    f"{name}.area_range must satisfy 0 < low <= high <= 1, got {rect.area_range}"
-                )
-            if not 0.0 < rect.aspect_range[0] <= rect.aspect_range[1]:
-                raise ContractError(
-                    f"{name}.aspect_range must satisfy 0 < low <= high, got {rect.aspect_range}"
-                )
-            if rect.max_attempts < 1:
-                raise ContractError(f"{name}.max_attempts must be >= 1, got {rect.max_attempts}")
-        for pair in (
-            self.corrupt.quality_range,
-            self.corrupt.noise_sigma_range,
-            self.corrupt.blur_sigma_range,
-            self.corrupt.scale_range,
-        ):
-            if not pair[0] <= pair[1]:
-                raise ContractError(f"range low must not exceed high, got {pair}")
-        if not 0.0 <= self.corrupt.stage_prob <= 1.0:
-            raise ContractError(f"stage_prob must lie in [0,1], got {self.corrupt.stage_prob}")
 
 
 @dataclass(frozen=True)
@@ -151,7 +112,7 @@ def _check_image(img: np.ndarray) -> np.ndarray:
 # -- random erasing and random resized crop -----------------------------------
 
 
-def _sample_rect(h, w, gen, params: EraseParams | CropParams):
+def _sample_rect(h, w, gen, params: RectParams):
     """Draw (top, left, rh, rw) whose realized area fraction and aspect ratio
     land inside the configured ranges; None if every attempt misses.
 
@@ -188,7 +149,7 @@ def _erase_rect(img, rect, gen):
     return out
 
 
-def _erase(img, gen, params: EraseParams):
+def _erase(img, gen, params: RectParams):
     """Fill one random rectangle with uniform noise; everything else is untouched."""
     rect = _sample_rect(img.shape[0], img.shape[1], gen, params)
     if rect is None:
@@ -196,7 +157,7 @@ def _erase(img, gen, params: EraseParams):
     return _erase_rect(img, rect, gen)
 
 
-def _resized_crop(img, gen, params: CropParams):
+def _resized_crop(img, gen, params: RectParams):
     """Crop a near-full-area rectangle and bilinearly resize it back."""
     h, w = img.shape[:2]
     rect = _sample_rect(h, w, gen, params)
@@ -210,7 +171,7 @@ def _resized_crop(img, gen, params: CropParams):
 # -- composite strategies --------------------------------------------------------
 
 
-def _ra_aug(img, gen, erase: EraseParams, crop: CropParams):
+def _ra_aug(img, gen, erase: RectParams, crop: RectParams):
     """Uniformly one of: identity, random erasing, random resized crop."""
     u = gen.random()
     if u < 1.0 / 3.0:
@@ -249,40 +210,38 @@ def _dfdc_selim_impl(img, gen, params: CorruptParams):
     return np.clip(out, 0.0, 1.0)
 
 
-def dfdc_selim(
-    img: np.ndarray, rng: RngStream, params: CorruptParams | None = None
-) -> np.ndarray:
+def dfdc_selim(img: np.ndarray, rng: RngStream) -> np.ndarray:
     """Corruption pipeline; each stage fires independently, in a fixed order."""
     img = _check_image(img)
-    return _dfdc_selim_impl(img, rng.generator(), params or CorruptParams())
+    return _dfdc_selim_impl(img, rng.generator(), CORRUPT)
 
 
-def apply_augment(img: np.ndarray, strategy: AugStrategy, rng: RngStream) -> np.ndarray:
-    """Run the strategy's transform for this rng address."""
+def apply_augment(img: np.ndarray, kind: str, rng: RngStream) -> np.ndarray:
+    """Run the `kind` strategy's transform for this rng address."""
+    if kind not in STRATEGY_KINDS:
+        raise ContractError(f"unknown augmentation kind {kind!r}; expected one of {STRATEGY_KINDS}")
     img = _check_image(img)
     gen = rng.generator()
-    if strategy.kind == "none":
+    if kind == "none":
         return img.copy()
-    if strategy.kind == "re":
-        return _erase(img, gen, strategy.erase)
-    if strategy.kind == "randcrop":
-        return _resized_crop(img, gen, strategy.crop)
-    if strategy.kind == "raaug":
-        return _ra_aug(img, gen, strategy.erase, strategy.crop)
-    if strategy.kind == "dfdc":
-        return _dfdc_selim_impl(img, gen, strategy.corrupt)
-    raise ContractError(f"unknown augmentation kind {strategy.kind!r}")
+    if kind == "re":
+        return _erase(img, gen, ERASE)
+    if kind == "randcrop":
+        return _resized_crop(img, gen, CROP)
+    if kind == "raaug":
+        return _ra_aug(img, gen, ERASE, CROP)
+    return _dfdc_selim_impl(img, gen, CORRUPT)
 
 
 def make_pair(
     img: np.ndarray,
     label: int,
-    strategy: AugStrategy,
+    kind: str,
     rng1: RngStream,
     rng2: RngStream,
     source_id: str = "",
 ) -> ViewPair:
     """Draw the two views for one sample; the label is copied, never derived."""
-    x1 = apply_augment(img, strategy, rng1)
-    x2 = apply_augment(img, strategy, rng2)
+    x1 = apply_augment(img, kind, rng1)
+    x2 = apply_augment(img, kind, rng2)
     return ViewPair(x1=x1, x2=x2, label=int(label), source_id=source_id)

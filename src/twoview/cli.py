@@ -18,7 +18,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .augment import STRATEGY_KINDS, AugStrategy, RngStream, apply_augment, derive_seed
+from .augment import STRATEGY_KINDS, RngStream, apply_augment, derive_seed
 from .imgops import ImageFileError, bilinear_resize, read_ppm, write_pgm, write_ppm
 from .losses import PENALTY_KINDS
 from .metrics import MetricUndefinedError, compute_report, write_scores_csv
@@ -102,7 +102,6 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         "shifted_test": _Key(_parse_bool, False),
     },
     "cam": {
-        "seed": _Key(_parse_seed, 0),
         "checkpoint": _Key(str),
         "data": _Key(str),
         "ids": _Key(str),
@@ -288,12 +287,11 @@ def cmd_cam(cfg: dict[str, Any], out: Path) -> None:
 
 def cmd_aug_preview(cfg: dict[str, Any], out: Path) -> None:
     image = read_ppm(cfg["image"])
-    strategy = AugStrategy(kind=cfg["aug"])
     if cfg["count"] < 0:
         raise ConfigError(f"count must be >= 0, got {cfg['count']}")
     stem = Path(cfg["image"]).stem
     for k in range(cfg["count"]):
-        view = apply_augment(image, strategy, RngStream(cfg["seed"], 0, k, 0))
+        view = apply_augment(image, cfg["aug"], RngStream(cfg["seed"], 0, k, 0))
         name = f"{stem}_{cfg['aug']}_s{cfg['seed']}_k{k:03d}.ppm"
         write_ppm(out / name, view)
     print(f"wrote {cfg['count']} previews to {out}")
@@ -358,14 +356,6 @@ def main(argv=None) -> int:
     try:
         cfg = resolve_config(command, args.config, overrides)
         out = _prepare_out(args.out)
-    except _CONFIG_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _RUNTIME_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    try:
         _echo_resolved(out, command, cfg)
         handler, _ = _COMMANDS[command]
         handler(cfg, out)

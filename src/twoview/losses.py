@@ -13,7 +13,7 @@ import numpy as np
 
 from .ndgrad import ContractError, ShapeError, Tensor, l2_normalize
 
-PENALTY_KINDS = ("cos", "l1", "l2", "none")
+PENALTY_KINDS = ("cos", "l1", "l2")
 
 # Probabilities are clamped to [CLAMP, 1-CLAMP] before any log.
 CLAMP = 1e-12
@@ -21,8 +21,6 @@ CLAMP = 1e-12
 
 def batch_consistency(F1: Tensor, F2: Tensor, kind: str = "cos") -> Tensor:
     """Sum of the per-pair penalty over the N rows of [N, d] view batches."""
-    if kind == "none":
-        return Tensor(0.0)
     if F1.ndim != 2 or F1.shape != F2.shape:
         raise ShapeError(
             f"batch_consistency expects two equal-shape 2-d tensors, got {F1.shape}, {F2.shape}"

@@ -39,11 +39,8 @@ class ModelConfig:
 
     input_size: int = 64
     channels: tuple[int, ...] = (16, 32, 64, 128)
-    num_classes: int = 2
 
     def __post_init__(self):
-        if self.num_classes != 2:
-            raise ContractError(f"binary task: num_classes is fixed at 2, got {self.num_classes}")
         if len(self.channels) < 2 or any(c < 1 for c in self.channels):
             raise ContractError(f"channel plan needs >= 2 positive entries, got {self.channels}")
         if self.input_size % (2**self.n_stages) != 0:

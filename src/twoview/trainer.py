@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .augment import STRATEGY_KINDS, AugStrategy, RngStream, derive_seed, make_pair
+from .augment import STRATEGY_KINDS, RngStream, derive_seed, make_pair
 from .losses import PENALTY_KINDS, batch_ce, batch_consistency
 from .metrics import MetricReport, ScoredSet, compute_report
 from .model import (
@@ -223,7 +223,7 @@ def _tensor_table(ckpt: Checkpoint) -> dict[str, np.ndarray]:
     table: dict[str, np.ndarray] = {
         "config/input_size": np.array([ckpt.config.input_size], dtype=np.float64),
         "config/channels": np.array(ckpt.config.channels, dtype=np.float64),
-        "config/num_classes": np.array([ckpt.config.num_classes], dtype=np.float64),
+        "config/num_classes": np.array([2.0]),  # binary task; kept so the layout stays v2
     }
     for name, arr in ckpt.params.items():
         table[name] = arr
@@ -388,12 +388,13 @@ def load_checkpoint(path) -> Checkpoint:
     (input_size,) = pull_ints("config/input_size", "config entry", lo=1)
     channels = pull_ints("config/channels", "config entry", count=None, lo=1)
     (num_classes,) = pull_ints("config/num_classes", "config entry")
+    if num_classes != 2:
+        raise CheckpointError(f"{path}: config entry 'config/num_classes' must be 2, got {num_classes}")
     try:
-        config = ModelConfig(input_size=input_size, channels=tuple(channels), num_classes=num_classes)
+        config = ModelConfig(input_size=input_size, channels=tuple(channels))
     except ContractError as exc:
         raise CheckpointError(
-            f"{path}: config/input_size, config/channels and config/num_classes"
-            f" describe no valid model: {exc}"
+            f"{path}: config/input_size and config/channels describe no valid model: {exc}"
         ) from exc
     expected = param_shapes(config)
     params: dict[str, np.ndarray] = {}
@@ -473,7 +474,7 @@ def train_step(pairs, enc: Params, cls: Params, opt: Adam, config: TrainConfig) 
     labels = np.array([p.label for p in pairs])
 
     ce = batch_ce(probs[:n], probs[n:], labels, (config.w_real, config.w_fake))
-    if config.alpha > 0 and config.penalty != "none":
+    if config.alpha > 0:
         consistency = batch_consistency(reps[:n], reps[n:], config.penalty)
         loss = ce + consistency * float(config.alpha)
         c_value = consistency.item()
@@ -520,7 +521,6 @@ def train(config: TrainConfig, dataset, on_epoch=None) -> tuple[Checkpoint, Trai
 
     enc, cls = init_params(config.model, derive_seed(config.seed, "init"))
     opt = Adam(named_parameters(enc, cls), lr=config.lr)
-    strategy = AugStrategy(kind=config.aug)
     stopper = EarlyStopper(config.patience)
     shuffle_seed = derive_seed(config.seed, "shuffle")
     aug_seed = derive_seed(config.seed, "aug")
@@ -537,7 +537,7 @@ def train(config: TrainConfig, dataset, on_epoch=None) -> tuple[Checkpoint, Trai
                 make_pair(
                     train_samples[i].image,
                     train_samples[i].label,
-                    strategy,
+                    config.aug,
                     RngStream(aug_seed, epoch, int(i), 0),
                     RngStream(aug_seed, epoch, int(i), 1),
                     source_id=train_samples[i].source_id,
@@ -584,7 +584,7 @@ def evaluate(enc: Params, cls: Params, samples, batch_size: int = 64) -> MetricR
 
 
 def cross_view_distance(
-    enc: Params, samples, strategy: AugStrategy, seed: int, batch_size: int = 64
+    enc: Params, samples, aug: str, seed: int, batch_size: int = 64
 ) -> float:
     """Mean cosine-consistency penalty between two fresh views of each sample.
 
@@ -602,7 +602,7 @@ def cross_view_distance(
             make_pair(
                 s.image,
                 s.label,
-                strategy,
+                aug,
                 RngStream(seed, 0, start + j, 0),
                 RngStream(seed, 0, start + j, 1),
                 source_id=s.source_id,

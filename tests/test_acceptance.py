@@ -12,13 +12,7 @@ import numpy as np
 import pytest
 
 from oracles import auc_pair_count, rel_err, relu_kink_margin, tdr_exhaustive, trapezoid_area
-from twoview.augment import (
-    AugStrategy,
-    CropParams,
-    RngStream,
-    _sample_rect,
-    apply_augment,
-)
+from twoview.augment import CROP, RngStream, _sample_rect, apply_augment
 from twoview.cli import main as cli_main
 from twoview.losses import batch_ce, batch_consistency
 from twoview.metrics import ScoredSet, auc, roc_points, tdr_at_fdr
@@ -361,11 +355,10 @@ def test_04_augmentation_statistics():
     n_draws = 10_000
     side = 64
     base = np.full((side, side, 3), 0.5)
-    erase_strategy = AugStrategy(kind="re")
 
     misses = 0
     for k in range(n_draws):
-        out = apply_augment(base, erase_strategy, RngStream(51, index=k))
+        out = apply_augment(base, "re", RngStream(51, index=k))
         changed = np.nonzero((out != base).any(axis=2))
         if changed[0].size == 0:
             misses += 1
@@ -377,10 +370,9 @@ def test_04_augmentation_statistics():
         assert 0.5 <= rh / rw <= 2.0, f"draw {k}: erased aspect {rh / rw:.3f}"
     assert misses < n_draws * 0.01  # sampler rarely exhausts its attempts
 
-    crop_params = CropParams()
     for k in range(n_draws):
         gen = RngStream(52, index=k).generator()
-        rect = _sample_rect(side, side, gen, crop_params)
+        rect = _sample_rect(side, side, gen, CROP)
         assert rect is not None
         _, _, ch, cw = rect
         frac = ch * cw / (side * side)
@@ -396,12 +388,11 @@ def test_04_augmentation_statistics():
     assert np.all(np.abs(freqs - 1.0 / 3.0) <= 0.02), f"branch frequencies {freqs}"
 
     # Spot-check that outputs really follow the predicted branch.
-    strategy = AugStrategy(kind="raaug")
     small = np.ascontiguousarray(base[:32, :32])
     for k in range(300):
         stream = RngStream(53, index=k)
         u = stream.generator().random()
-        out = apply_augment(small, strategy, stream)
+        out = apply_augment(small, "raaug", stream)
         frac = float(((out != small).any(axis=2)).mean())
         if u < 1.0 / 3.0:
             assert frac == 0.0

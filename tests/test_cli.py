@@ -162,7 +162,7 @@ def _flag(key):
 class TestFlagsFromSchema:
     def test_settable_keys_per_subcommand(self):
         assert {c: len(schema) for c, schema in _SCHEMAS.items()} == {
-            "gen-data": 7, "train": 12, "eval": 5, "cam": 4, "aug-preview": 4,
+            "gen-data": 7, "train": 12, "eval": 5, "cam": 3, "aug-preview": 4,
         }
         for command, schema in _SCHEMAS.items():
             parsed = vars(_build_parser().parse_args([command]))
@@ -232,6 +232,14 @@ class TestExitCodes:
     def test_invalid_gen_params_are_exit_2(self, tmp_path, capsys):
         assert run_cli("gen-data", "--out", tmp_path / "o", "--n-real", 3) == 2
         capsys.readouterr()
+
+    def test_out_is_a_regular_file_is_runtime_error(self, tmp_path, capsys):
+        # the output directory cannot be made, before any subcommand work starts
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        assert run_cli("gen-data", "--out", taken) == 1
+        assert "error:" in capsys.readouterr().err
+        assert taken.read_text() == "not a directory\n"
 
 
 # -- gen-data --------------------------------------------------------------------

@@ -130,10 +130,6 @@ class TestBatchConsistency:
         batch = batch_consistency(vec(a[None]), vec(b[None]), "cos").item()
         assert abs(batch - rowwise_reference("cos", a[None], b[None])[0]) < 1e-12
 
-    def test_none_kind_is_constant_zero(self):
-        out = batch_consistency(vec(np.ones((2, 3))), vec(np.ones((2, 3))), "none")
-        assert out.item() == 0.0 and not out.requires_grad
-
     def test_unknown_kind(self):
         with pytest.raises(ContractError):
             batch_consistency(vec(np.ones((1, 2))), vec(np.ones((1, 2))), "hinge")

@@ -44,10 +44,6 @@ class TestModelConfig:
         with pytest.raises(ContractError):
             ModelConfig(input_size=60, channels=(16, 32, 64, 128))
 
-    def test_num_classes_fixed(self):
-        with pytest.raises(ContractError):
-            ModelConfig(num_classes=3)
-
 
 class TestEncoder:
     def test_zero_input_zero_bias_gives_zero_reps(self):

@@ -10,7 +10,7 @@ import pytest
 
 import oracles
 from twoview import ndgrad, trainer
-from twoview.augment import AugStrategy, RngStream, derive_seed, make_pair
+from twoview.augment import RngStream, derive_seed, make_pair
 from twoview.cli import main as cli_main
 from twoview.losses import batch_ce, batch_consistency
 from twoview.metrics import MetricUndefinedError
@@ -149,6 +149,8 @@ class TestTrainConfig:
             dict(alpha=np.inf),
             dict(w_real=np.nan),
             dict(w_fake=np.inf),
+            # alpha = 0 is the only spelling of the cross-entropy baseline
+            dict(penalty="none"),
         ],
     )
     def test_validation(self, kwargs):
@@ -411,14 +413,11 @@ class TestCheckpointCorruption:
 
 
 class TestTrainStep:
-    def strategy(self):
-        return AugStrategy(kind="none")
-
     def micro_batch(self, dataset, n=4, size=32):
         samples = dataset.train[:n]
         return [
             make_pair(
-                s.image, s.label, AugStrategy(kind="raaug"),
+                s.image, s.label, "raaug",
                 RngStream(0, 1, i, 0), RngStream(0, 1, i, 1), source_id=s.source_id,
             )
             for i, s in enumerate(samples)
@@ -473,7 +472,7 @@ class TestTrainStep:
     def test_identity_views_zero_consistency(self, tiny_dataset):
         samples = tiny_dataset.train[:4]
         pairs = [
-            make_pair(s.image, s.label, self.strategy(), RngStream(0, 1, i, 0), RngStream(0, 1, i, 1))
+            make_pair(s.image, s.label, "none", RngStream(0, 1, i, 0), RngStream(0, 1, i, 1))
             for i, s in enumerate(samples)
         ]
         enc, cls = init_params(TINY_MODEL, seed=0)
@@ -534,7 +533,7 @@ class TestTrainStep:
         ndgrad._keep_freed_memory()
         samples = gen_dataset(n_real=10, ratio=1, seed=0, size=64).train[:8]
         pairs = [
-            make_pair(s.image, s.label, AugStrategy(kind="raaug"),
+            make_pair(s.image, s.label, "raaug",
                       RngStream(0, 1, i, 0), RngStream(0, 1, i, 1), source_id=s.source_id)
             for i, s in enumerate(samples)
         ]
@@ -716,28 +715,26 @@ class TestEvaluate:
 class TestCrossViewDistance:
     def test_identity_strategy_is_zero(self, tiny_dataset):
         enc, _ = init_params(TINY_MODEL, seed=0)
-        d = cross_view_distance(enc, tiny_dataset.test, AugStrategy(kind="none"), seed=0)
+        d = cross_view_distance(enc, tiny_dataset.test, "none", seed=0)
         assert d < 1e-12
 
     def test_bounded_and_deterministic(self, tiny_dataset):
         enc, _ = init_params(TINY_MODEL, seed=0)
-        strategy = AugStrategy(kind="raaug")
-        a = cross_view_distance(enc, tiny_dataset.test, strategy, seed=3)
-        b = cross_view_distance(enc, tiny_dataset.test, strategy, seed=3)
+        a = cross_view_distance(enc, tiny_dataset.test, "raaug", seed=3)
+        b = cross_view_distance(enc, tiny_dataset.test, "raaug", seed=3)
         assert a == b
         assert 0.0 <= a <= 4.0
 
     def test_batch_size_invariance(self, tiny_dataset):
         enc, _ = init_params(TINY_MODEL, seed=0)
-        strategy = AugStrategy(kind="raaug")
-        a = cross_view_distance(enc, tiny_dataset.test, strategy, seed=3, batch_size=5)
-        b = cross_view_distance(enc, tiny_dataset.test, strategy, seed=3, batch_size=64)
+        a = cross_view_distance(enc, tiny_dataset.test, "raaug", seed=3, batch_size=5)
+        b = cross_view_distance(enc, tiny_dataset.test, "raaug", seed=3, batch_size=64)
         assert abs(a - b) < 1e-12
 
     def test_empty(self):
         enc, _ = init_params(TINY_MODEL, seed=0)
         with pytest.raises(ContractError):
-            cross_view_distance(enc, [], AugStrategy(kind="none"), seed=0)
+            cross_view_distance(enc, [], "none", seed=0)
 
     def test_builds_no_graph(self, tiny_dataset, monkeypatch):
         enc, _ = init_params(TINY_MODEL, seed=0)
@@ -748,7 +745,7 @@ class TestCrossViewDistance:
             return reps[-1], None
 
         monkeypatch.setattr(trainer, "encoder_forward", spy)
-        cross_view_distance(enc, tiny_dataset.test, AugStrategy(kind="raaug"), seed=3)
+        cross_view_distance(enc, tiny_dataset.test, "raaug", seed=3)
         assert reps
         for r in reps:
             assert r._parents == () and not r.requires_grad
