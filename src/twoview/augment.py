@@ -69,7 +69,6 @@ class RectParams:
 
     area_range: tuple[float, float]
     aspect_range: tuple[float, float]
-    max_attempts: int = 10
 
 
 @dataclass(frozen=True)
@@ -83,6 +82,7 @@ class CorruptParams:
 
 
 # The fixed hyperparameters every strategy draws with.
+RECT_ATTEMPTS = 10
 ERASE = RectParams(area_range=(0.02, 0.2), aspect_range=(0.5, 2.0))
 CROP = RectParams(area_range=(1.0 / 1.3, 1.0), aspect_range=(0.9, 1.1))
 CORRUPT = CorruptParams()
@@ -121,7 +121,7 @@ def _sample_rect(h, w, gen, params: RectParams):
     """
     lo_a, hi_a = params.area_range
     lo_r, hi_r = params.aspect_range
-    for _ in range(params.max_attempts):
+    for _ in range(RECT_ATTEMPTS):
         frac = gen.uniform(lo_a, hi_a)
         ratio = math.exp(gen.uniform(math.log(lo_r), math.log(hi_r)))  # rh / rw
         target = frac * h * w

@@ -233,6 +233,8 @@ def cmd_train(cfg: dict[str, Any], out: Path) -> None:
 
 
 def cmd_eval(cfg: dict[str, Any], out: Path) -> None:
+    if cfg["shifted_test"] and cfg["split"] != "test":
+        raise ConfigError(f"shifted_test corrupts only the test split, but split = {cfg['split']!r}")
     ckpt = load_checkpoint(cfg["checkpoint"])
     enc, cls = params_from_checkpoint(ckpt)
     dataset = load_dataset(

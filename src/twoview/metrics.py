@@ -106,9 +106,9 @@ def tdr_at_fdr(scored: ScoredSet, fdr_target: float) -> float:
     return float(best)
 
 
-def accuracy(scored: ScoredSet, threshold: float = 0.5) -> float:
-    """Fraction with (score >= threshold) matching the label; 0.5 predicts fake."""
-    predicted = (scored.scores >= threshold).astype(np.int64)
+def accuracy(scored: ScoredSet) -> float:
+    """Fraction with (score >= 0.5) matching the label; 0.5 predicts fake."""
+    predicted = (scored.scores >= 0.5).astype(np.int64)
     return float(np.mean(predicted == scored.labels))
 
 

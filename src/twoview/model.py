@@ -149,12 +149,11 @@ def model_probs(batch: Tensor, enc: Params, cls: Params) -> Tensor:
     return classifier_forward(reps, cls)
 
 
-def cam(feature_maps, cls: Params, class_index: int) -> np.ndarray:
+def cam(maps: np.ndarray, cls: Params, class_index: int) -> np.ndarray:
     """Classifier-weighted sum of the final maps, min-max normalized to [0,1].
 
     The bias plays no part; a constant weighted sum normalizes to all zeros.
     """
-    maps = feature_maps.data if isinstance(feature_maps, Tensor) else np.asarray(feature_maps)
     if maps.ndim != 3:
         raise ShapeError(f"cam expects [d,s,s] feature maps, got {maps.shape}")
     if class_index not in (0, 1):

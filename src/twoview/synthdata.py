@@ -81,8 +81,6 @@ class DatasetSplit:
     train: list[Sample] = field(default_factory=list)
     val: list[Sample] = field(default_factory=list)
     test: list[Sample] = field(default_factory=list)
-    seed: int | None = None
-    ratio: int | None = None
 
     def split(self, name: str) -> list[Sample]:
         if name not in SPLIT_NAMES:
@@ -284,7 +282,7 @@ def gen_dataset(
         "test": [reals[i] for i in perm[n_train + n_val :]],
     }
 
-    dataset = DatasetSplit(seed=seed, ratio=ratio)
+    dataset = DatasetSplit()
     fake_counter = 0
     for name in SPLIT_NAMES:
         split_reals = assignment[name]

@@ -366,6 +366,16 @@ class TestEval:
         assert not np.array_equal(plain, shift_a)
         np.testing.assert_array_equal(shift_a, shift_b)
 
+    @pytest.mark.parametrize("split", ["train", "val"])
+    def test_shifted_test_off_the_test_split_is_usage_error(self, run_dir, data_dir, tmp_path,
+                                                            split, capsys):
+        code = run_cli("eval", "--checkpoint", run_dir / "model.ckpt", "--data", data_dir,
+                       "--out", tmp_path / "ev", "--split", split, "--shifted-test")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "shifted_test" in err and "split" in err and split in err
+        assert not (tmp_path / "ev" / "scores.csv").exists()
+
     def test_missing_checkpoint_is_runtime_error(self, data_dir, tmp_path, capsys):
         code = run_cli("eval", "--checkpoint", tmp_path / "no.ckpt", "--data", data_dir,
                        "--out", tmp_path / "o")
