@@ -144,11 +144,6 @@ def classifier_forward(reps: Tensor, cls: Params) -> Tensor:
     return probs[:, 1]
 
 
-def model_probs(batch: Tensor, enc: Params, cls: Params) -> Tensor:
-    reps, _ = encoder_forward(batch, enc)
-    return classifier_forward(reps, cls)
-
-
 def cam(maps: np.ndarray, cls: Params, class_index: int) -> np.ndarray:
     """Classifier-weighted sum of the final maps, min-max normalized to [0,1].
 

@@ -45,10 +45,12 @@ EPS_NORM = 1e-12
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 # glibc serves an allocation at or above this size with its own mmap, which
-# free() unmaps, so the next step faults it in again.  The largest array of a
-# step at the default `twoview train` config (16-128 channels, 32 pairs,
-# 64 px) is 67 MB: a 60 MiB threshold still faulted on every step there and
-# 68 MiB did not.  256 MiB leaves room above it.
+# free() unmaps, so the next step faults it in again.  The threshold must
+# exceed a step's largest array: a 60 MiB threshold faulted on every step
+# whose largest array was 67 MB, and 68 MiB did not.  The encoder runs in
+# chunks whose largest array is trainer._CHUNK_BYTES (8 MiB), or one image's
+# stage-0 output where that is larger; 256 MiB leaves room for one image of
+# 32 channels at 1024 px.
 _MMAP_THRESHOLD = 256 << 20
 # glibc gives the free top of the heap back to the OS once it exceeds this.
 # A step frees most of what it allocated, so with the default trim the next

@@ -1,9 +1,11 @@
 """Paired-view training loop: combined loss, Adam, early stopping, checkpoints.
 
-One step stacks both views of a batch into a single 2N-image forward pass
-through the shared encoder, applies weighted cross-entropy to all 2N
-predictions plus the consistency penalty to the N representation pairs, and
-takes one Adam step on `ce + alpha * consistency`.
+One step sends both views of each pair through the shared encoder, applies
+weighted cross-entropy to every view's prediction plus the consistency
+penalty to each pair's two representations, and takes one Adam step on
+`ce + alpha * consistency`.  Both losses sum over pairs, so the batch runs
+in chunks of a few pairs, each with its own forward and backward pass, and
+the parameter gradients add up across chunks before the one step.
 
 Everything downstream of (config, seed) is bitwise deterministic: parameter
 init, the per-epoch shuffle, and every augmentation draw are keyed by
@@ -32,7 +34,6 @@ from .model import (
     detach,
     encoder_forward,
     init_params,
-    model_probs,
     named_parameters,
     param_shapes,
     params_from_arrays,
@@ -447,6 +448,20 @@ def _stack_views(pairs) -> np.ndarray:
     return np.concatenate([x1, x2], axis=0)
 
 
+# Bytes of the largest activation that one encoder pass holds: the stage-0
+# output, channels[1] * S * S float64s per image.  At the `twoview train`
+# defaults (16-128 channels, 64 px, 32 pairs) a pass over the whole batch
+# makes that array 67 MB, so relu, pooling and the separable convs are all
+# bound by memory; chunks of 8 MiB keep their data nearer the cache.
+_CHUNK_BYTES = 8 << 20
+
+
+def _chunk_length(enc: Params, size: int, views: int) -> int:
+    """How many items of `views` size x size images one encoder pass takes."""
+    per_image = enc["encoder/stage0/pointwise"].shape[0] * size * size * 8
+    return max(1, _CHUNK_BYTES // (views * per_image))
+
+
 def _check_representations(reps: np.ndarray, pairs) -> None:
     n = len(pairs)
     norms = np.linalg.norm(reps, axis=1)
@@ -459,16 +474,15 @@ def _check_representations(reps: np.ndarray, pairs) -> None:
         )
 
 
-def train_step(pairs, enc: Params, cls: Params, opt: Adam, config: TrainConfig) -> tuple[float, float]:
-    """One optimizer step on a batch of view pairs; returns (ce, consistency) sums.
+def _chunk_backward(pairs, enc: Params, cls: Params, config: TrainConfig) -> tuple[float, float]:
+    """Forward and backward of the loss on some pairs; returns (ce, consistency) sums.
 
-    Of config, only the loss fields are read: alpha, penalty, w_real, w_fake.
+    The parameter gradients add into whatever .grad already holds.  The
+    graph lives only in this call, so a chunk's arrays are freed before the
+    next chunk's forward pass.
     """
-    if not pairs:
-        raise ContractError("train_step needs a non-empty batch")
     n = len(pairs)
-    batch = Tensor(_stack_views(pairs))
-    reps, _ = encoder_forward(batch, enc)
+    reps, _ = encoder_forward(Tensor(_stack_views(pairs)), enc)
     _check_representations(reps.data, pairs)
     probs = classifier_forward(reps, cls)
     labels = np.array([p.label for p in pairs])
@@ -483,10 +497,28 @@ def train_step(pairs, enc: Params, cls: Params, opt: Adam, config: TrainConfig) 
         # consistency graph is never built
         loss = ce
         c_value = 0.0
-    opt.zero_grad()
     loss.backward()
-    opt.step()
     return ce.item(), c_value
+
+
+def train_step(pairs, enc: Params, cls: Params, opt: Adam, config: TrainConfig) -> tuple[float, float]:
+    """One optimizer step on a batch of view pairs; returns (ce, consistency) sums.
+
+    The pairs go through the model in chunks sized by _CHUNK_BYTES, each
+    with its own backward pass; their gradients add up into one Adam step.
+    Of config, only the loss fields are read: alpha, penalty, w_real, w_fake.
+    """
+    if not pairs:
+        raise ContractError("train_step needs a non-empty batch")
+    step = _chunk_length(enc, pairs[0].x1.shape[0], views=2)
+    opt.zero_grad()
+    ce_sum = c_sum = 0.0
+    for start in range(0, len(pairs), step):
+        ce, consistency = _chunk_backward(pairs[start : start + step], enc, cls, config)
+        ce_sum += ce
+        c_sum += consistency
+    opt.step()
+    return ce_sum, c_sum
 
 
 def _labels_of(samples) -> np.ndarray:
@@ -566,26 +598,31 @@ def train(config: TrainConfig, dataset, on_epoch=None) -> tuple[Checkpoint, Trai
     return best, history
 
 
-def score_samples(enc: Params, cls: Params, samples, batch_size: int = 64) -> ScoredSet:
-    """Un-augmented single-view inference: one P(fake) score per sample."""
+def score_samples(enc: Params, cls: Params, samples) -> ScoredSet:
+    """Un-augmented single-view inference: one P(fake) score per sample.
+
+    The encoder runs in chunks of images and the classifier once over every
+    representation.  A sample's representation does not depend on the chunk
+    it shares, but the rounding of the classifier matmul depends on its row
+    count, so the scores are those of one forward pass over the whole list.
+    """
     if not samples:
         raise ContractError("score_samples needs a non-empty sample list")
     enc, cls = detach(enc), detach(cls)
-    scores = []
-    for start in range(0, len(samples), batch_size):
-        chunk = samples[start : start + batch_size]
-        x = np.stack([s.image for s in chunk]).transpose(0, 3, 1, 2)
-        scores.append(model_probs(Tensor(x), enc, cls).data)
-    return ScoredSet(scores=np.concatenate(scores), labels=_labels_of(samples))
+    step = _chunk_length(enc, samples[0].image.shape[0], views=1)
+    reps = []
+    for start in range(0, len(samples), step):
+        x = np.stack([s.image for s in samples[start : start + step]]).transpose(0, 3, 1, 2)
+        reps.append(encoder_forward(Tensor(x), enc)[0].data)
+    scores = classifier_forward(Tensor(np.concatenate(reps)), cls).data
+    return ScoredSet(scores=scores, labels=_labels_of(samples))
 
 
-def evaluate(enc: Params, cls: Params, samples, batch_size: int = 64) -> MetricReport:
-    return compute_report(score_samples(enc, cls, samples, batch_size))
+def evaluate(enc: Params, cls: Params, samples) -> MetricReport:
+    return compute_report(score_samples(enc, cls, samples))
 
 
-def cross_view_distance(
-    enc: Params, samples, aug: str, seed: int, batch_size: int = 64
-) -> float:
+def cross_view_distance(enc: Params, samples, aug: str, seed: int) -> float:
     """Mean cosine-consistency penalty between two fresh views of each sample.
 
     The quantity the consistency term minimizes, measured on held-out data:
@@ -595,9 +632,10 @@ def cross_view_distance(
     if not samples:
         raise ContractError("cross_view_distance needs a non-empty sample list")
     enc = detach(enc)
+    step = _chunk_length(enc, samples[0].image.shape[0], views=2)
     total = 0.0
-    for start in range(0, len(samples), batch_size):
-        chunk = samples[start : start + batch_size]
+    for start in range(0, len(samples), step):
+        chunk = samples[start : start + step]
         pairs = [
             make_pair(
                 s.image,

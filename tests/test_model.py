@@ -10,7 +10,6 @@ from twoview.model import (
     detach,
     encoder_forward,
     init_params,
-    model_probs,
     named_parameters,
     param_shapes,
 )
@@ -114,7 +113,7 @@ class TestEncoder:
     def test_no_dead_parameters(self):
         # Every parameter should touch the loss on a generic batch.
         enc, cls = tiny_model(seed=7)
-        probs = model_probs(batch_of(4, seed=8), enc, cls)
+        probs = classifier_forward(encoder_forward(batch_of(4, seed=8), enc)[0], cls)
         (probs * probs).sum().backward()
         for name, p in named_parameters(enc, cls).items():
             assert p.grad is not None and np.any(p.grad != 0.0), name
@@ -161,7 +160,7 @@ class TestClassifier:
 
     def test_probs_open_interval_and_pair_sums(self):
         enc, cls = tiny_model(seed=9)
-        probs = model_probs(batch_of(8, seed=10), enc, cls)
+        probs = classifier_forward(encoder_forward(batch_of(8, seed=10), enc)[0], cls)
         assert np.all((probs.data > 0) & (probs.data < 1))
 
     def test_width_mismatch(self):

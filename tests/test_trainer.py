@@ -1,6 +1,7 @@
 """Training loop, early stopping, checkpoint container, evaluation."""
 
 import platform
+import re
 import struct
 from dataclasses import replace
 from pathlib import Path
@@ -19,7 +20,6 @@ from twoview.model import (
     classifier_forward,
     encoder_forward,
     init_params,
-    model_probs,
     named_parameters,
 )
 from twoview.ndgrad import Adam, ContractError, DegenerateVectorError, Tensor, finite_diff_grad
@@ -50,6 +50,17 @@ TINY_MODEL = ModelConfig(input_size=32, channels=(4, 6))
 def tiny_dataset():
     # size must match TINY_MODEL's input
     return gen_dataset(n_real=14, ratio=1, seed=0, size=32)
+
+
+def chunk_budget(images, model=TINY_MODEL):
+    """A trainer._CHUNK_BYTES under which one encoder pass takes `images` images."""
+    return images * model.channels[1] * model.input_size**2 * 8
+
+
+def whole_split_scores(enc, cls, samples):
+    """Scores of one forward pass over the whole list, on the trainable parameters."""
+    x = np.stack([s.image for s in samples]).transpose(0, 3, 1, 2)
+    return classifier_forward(encoder_forward(Tensor(x), enc)[0], cls)
 
 
 def tiny_config(**overrides):
@@ -433,14 +444,15 @@ class TestTrainStep:
         for name, p in named_parameters(enc, cls).items():
             assert not np.array_equal(p.data, before[name]), name
 
-    def assert_matches_hand_rolled_step(self, pairs, cfg):
-        enc_a, cls_a = init_params(TINY_MODEL, seed=7)
+    def step_both_ways(self, pairs, cfg, model=TINY_MODEL):
+        """Parameters after one train_step and after a hand-rolled full-batch step, from one init."""
+        enc_a, cls_a = init_params(model, seed=7)
         opt_a = Adam(named_parameters(enc_a, cls_a))
         train_step(pairs, enc_a, cls_a, opt_a, cfg)
 
         # hand-rolled step on ce + alpha * penalty; at alpha = 0 there is no
         # consistency term anywhere in the graph
-        enc_b, cls_b = init_params(TINY_MODEL, seed=7)
+        enc_b, cls_b = init_params(model, seed=7)
         opt_b = Adam(named_parameters(enc_b, cls_b))
         n = len(pairs)
         x1 = np.stack([p.x1 for p in pairs]).transpose(0, 3, 1, 2)
@@ -454,11 +466,13 @@ class TestTrainStep:
         opt_b.zero_grad()
         loss.backward()
         opt_b.step()
+        return named_parameters(enc_a, cls_a), named_parameters(enc_b, cls_b)
 
-        for name in named_parameters(enc_a, cls_a):
-            a = named_parameters(enc_a, cls_a)[name].data
-            b = named_parameters(enc_b, cls_b)[name].data
-            assert np.array_equal(a, b), name
+    def assert_matches_hand_rolled_step(self, pairs, cfg):
+        # TINY_MODEL's batch of 4 pairs is one chunk, so the bits agree
+        stepped, hand_rolled = self.step_both_ways(pairs, cfg)
+        for name, p in hand_rolled.items():
+            assert np.array_equal(stepped[name].data, p.data), name
 
     def test_alpha_zero_matches_ce_only_trainer(self, tiny_dataset):
         pairs = self.micro_batch(tiny_dataset)
@@ -524,6 +538,39 @@ class TestTrainStep:
         with pytest.raises(DegenerateVectorError, match=pairs[0].source_id):
             train_step(pairs, enc, cls, opt, TrainConfig())
 
+    @pytest.mark.parametrize("pairs_per_chunk", [None, 3])
+    def test_chunked_step_matches_full_batch_step(self, monkeypatch, pairs_per_chunk):
+        # 64 px at channels 4-32 is 1 MiB of stage-0 output per image, so the
+        # default budget splits 8 pairs into chunks of 4; 3 leaves a remainder
+        model = ModelConfig(input_size=64, channels=(4, 32))
+        if pairs_per_chunk is not None:
+            monkeypatch.setattr(trainer, "_CHUNK_BYTES", chunk_budget(2 * pairs_per_chunk, model))
+        samples = gen_dataset(n_real=12, ratio=1, seed=0, size=64).train[:8]
+        pairs = [
+            make_pair(s.image, s.label, "raaug",
+                      RngStream(0, 1, i, 0), RngStream(0, 1, i, 1), source_id=s.source_id)
+            for i, s in enumerate(samples)
+        ]
+        enc, _ = init_params(model, seed=7)
+        assert trainer._chunk_length(enc, 64, views=2) < len(pairs)
+        for cfg in (TrainConfig(alpha=2.0, w_real=3.0, w_fake=0.5), TrainConfig(alpha=0.0)):
+            stepped, hand_rolled = self.step_both_ways(pairs, cfg, model)
+            for name, p in hand_rolled.items():
+                assert oracles.rel_err(stepped[name].data, p.data) <= 1e-12, (cfg.alpha, name)
+
+    def test_degenerate_representation_in_later_chunk_names_it(self, tiny_dataset, monkeypatch):
+        monkeypatch.setattr(trainer, "_CHUNK_BYTES", chunk_budget(2))  # one pair per chunk
+        enc, cls = init_params(TINY_MODEL, seed=0)
+        for name, p in enc.items():
+            if name.endswith("bias"):
+                p.data[...] = 0.0  # a black image then has an all-zero representation
+        pairs = self.micro_batch(tiny_dataset)
+        pairs[2] = replace(pairs[2], x2=np.zeros_like(pairs[2].x2))
+        opt = Adam(named_parameters(enc, cls))
+        expected = rf"{re.escape(pairs[2].source_id)}' \(view 2\)"
+        with pytest.raises(DegenerateVectorError, match=expected):
+            train_step(pairs, enc, cls, opt, TrainConfig())
+
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the memory policy is glibc's mallopt")
     def test_steady_state_step_takes_no_page_faults(self):
         import resource  # Unix only, like the policy
@@ -587,8 +634,8 @@ class TestTrain:
         values = iter([0.9, 0.89, 0.89, 0.89, 0.89, 0.89, 0.99, 0.99])
         real_evaluate = evaluate
 
-        def fake_evaluate(enc, cls, samples, batch_size=64):
-            report = real_evaluate(enc, cls, samples, batch_size)
+        def fake_evaluate(enc, cls, samples):
+            report = real_evaluate(enc, cls, samples)
             return report.__class__(**{**report.__dict__, "auc": next(values)})
 
         monkeypatch.setattr(trainer, "evaluate", fake_evaluate)
@@ -601,8 +648,8 @@ class TestTrain:
         values = iter(np.linspace(0.5, 0.9, 30))
         real_evaluate = evaluate
 
-        def fake_evaluate(enc, cls, samples, batch_size=64):
-            report = real_evaluate(enc, cls, samples, batch_size)
+        def fake_evaluate(enc, cls, samples):
+            report = real_evaluate(enc, cls, samples)
             return report.__class__(**{**report.__dict__, "auc": float(next(values))})
 
         monkeypatch.setattr(trainer, "evaluate", fake_evaluate)
@@ -655,13 +702,33 @@ class TestEvaluate:
         b = evaluate(enc, cls, tiny_dataset.test)
         assert a == b
 
-    def test_batch_size_does_not_matter(self, tiny_dataset):
+    def test_chunking_does_not_matter(self, tiny_dataset, monkeypatch):
+        # one chunk (the default here) or several: the scores are those of
+        # one forward pass over the whole split, bit for bit
         enc, cls = init_params(TINY_MODEL, seed=0)
-        a = evaluate(enc, cls, tiny_dataset.test, batch_size=3)
-        b = evaluate(enc, cls, tiny_dataset.test, batch_size=64)
-        assert a.auc == b.auc and a.roc == b.roc
+        samples = tiny_dataset.train
+        whole = whole_split_scores(enc, cls, samples).data
+        reports = []
+        for budget in (trainer._CHUNK_BYTES, chunk_budget(1), chunk_budget(3)):
+            monkeypatch.setattr(trainer, "_CHUNK_BYTES", budget)
+            np.testing.assert_array_equal(score_samples(enc, cls, samples).scores, whole)
+            reports.append(evaluate(enc, cls, samples))
+        assert all(r.auc == reports[0].auc and r.roc == reports[0].roc for r in reports)
 
-    def test_random_model_near_chance(self):
+    def test_split_of_65_scores_as_one_forward(self, monkeypatch):
+        # Batches of 64 images left a 1-row remainder, and the rounding of
+        # the classifier matmul depends on its row count (OpenBLAS 0.3.31:
+        # one of these 65 scores moved by 1 ulp).  The classifier runs once
+        # per split, so the chunk boundaries cannot show in the scores.
+        ds = gen_dataset(n_real=24, ratio=2, seed=0, size=32)
+        samples = (ds.train + ds.val + ds.test)[:65]
+        enc, cls = init_params(TINY_MODEL, seed=9)
+        whole = whole_split_scores(enc, cls, samples).data
+        for budget in (trainer._CHUNK_BYTES, chunk_budget(64)):
+            monkeypatch.setattr(trainer, "_CHUNK_BYTES", budget)
+            np.testing.assert_array_equal(score_samples(enc, cls, samples).scores, whole)
+
+    def test_random_model_near_chance(self, monkeypatch):
         # A single untrained init is not near AUC 0.5 here: gen_fake shifts
         # colour in one fixed direction, so any random projection separates
         # the classes and only the sign is a coin flip.  What an untrained
@@ -673,31 +740,41 @@ class TestEvaluate:
         reals = [s for s in samples if s.label == 0]
         unmasked = np.zeros(reals[0].image.shape[:2], dtype=bool)
         twins = reals + [replace(s, label=1, mask=unmasked) for s in reals]
+        default = trainer._CHUNK_BYTES
         for seed in range(10):
             enc, cls = init_params(TINY_MODEL, seed=seed)
             swapped = {name: Tensor(p.data[::-1].copy()) for name, p in cls.items()}
+            monkeypatch.setattr(trainer, "_CHUNK_BYTES", default)
             a = evaluate(enc, cls, samples).auc
             b = evaluate(enc, swapped, samples).auc
             assert abs(a + b - 1.0) <= 1e-12, (seed, a, b)
-            for batch_size in (64, 5):
-                assert evaluate(enc, cls, twins, batch_size=batch_size).auc == 0.5, seed
+            for budget in (default, chunk_budget(5)):
+                monkeypatch.setattr(trainer, "_CHUNK_BYTES", budget)
+                assert evaluate(enc, cls, twins).auc == 0.5, seed
 
     def test_builds_no_graph(self, tiny_dataset, monkeypatch):
         enc, cls = init_params(TINY_MODEL, seed=0)
-        outputs = []
+        reps, probs = [], []
 
-        def spy(batch, enc_, cls_):
-            outputs.append(model_probs(batch, enc_, cls_))
-            return outputs[-1]
+        def spy_encoder(batch, enc_):
+            out = encoder_forward(batch, enc_)
+            reps.append(out[0])
+            return out
 
-        monkeypatch.setattr(trainer, "model_probs", spy)
-        scored = score_samples(enc, cls, tiny_dataset.test, batch_size=5)
-        assert len(outputs) == -(-len(tiny_dataset.test) // 5)
-        for out in outputs:
+        def spy_classifier(reps_, cls_):
+            probs.append(classifier_forward(reps_, cls_))
+            return probs[-1]
+
+        monkeypatch.setattr(trainer, "encoder_forward", spy_encoder)
+        monkeypatch.setattr(trainer, "classifier_forward", spy_classifier)
+        monkeypatch.setattr(trainer, "_CHUNK_BYTES", chunk_budget(3))
+        samples = tiny_dataset.train
+        scored = score_samples(enc, cls, samples)
+        assert len(reps) == -(-len(samples) // 3) and len(probs) == 1
+        for out in reps + probs:
             assert out._parents == () and not out.requires_grad
         # same scores as a forward pass over the trainable parameters
-        x = np.stack([s.image for s in tiny_dataset.test]).transpose(0, 3, 1, 2)
-        live = model_probs(Tensor(x), enc, cls)
+        live = whole_split_scores(enc, cls, samples)
         assert live.requires_grad
         np.testing.assert_array_equal(scored.scores, live.data)
         for p in named_parameters(enc, cls).values():
@@ -725,11 +802,21 @@ class TestCrossViewDistance:
         assert a == b
         assert 0.0 <= a <= 4.0
 
-    def test_batch_size_invariance(self, tiny_dataset):
+    def test_chunking_invariance(self, tiny_dataset, monkeypatch):
+        # one chunk, one pair per chunk, or 3 with a remainder: all match one
+        # pass over the whole split's view pairs
         enc, _ = init_params(TINY_MODEL, seed=0)
-        a = cross_view_distance(enc, tiny_dataset.test, "raaug", seed=3, batch_size=5)
-        b = cross_view_distance(enc, tiny_dataset.test, "raaug", seed=3, batch_size=64)
-        assert abs(a - b) < 1e-12
+        samples = tiny_dataset.train
+        pairs = [
+            make_pair(s.image, s.label, "raaug", RngStream(3, 0, i, 0), RngStream(3, 0, i, 1))
+            for i, s in enumerate(samples)
+        ]
+        n = len(pairs)
+        reps, _ = encoder_forward(Tensor(trainer._stack_views(pairs)), enc)
+        whole = batch_consistency(reps[:n], reps[n:], "cos").item() / n
+        for budget in (trainer._CHUNK_BYTES, chunk_budget(2), chunk_budget(6)):
+            monkeypatch.setattr(trainer, "_CHUNK_BYTES", budget)
+            assert abs(cross_view_distance(enc, samples, "raaug", seed=3) - whole) < 1e-12
 
     def test_empty(self):
         enc, _ = init_params(TINY_MODEL, seed=0)
