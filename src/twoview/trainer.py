@@ -507,9 +507,12 @@ def train_step(pairs, enc: Params, cls: Params, opt: Adam, config: TrainConfig) 
     The pairs go through the model in chunks sized by _CHUNK_BYTES, each
     with its own backward pass; their gradients add up into one Adam step.
     Of config, only the loss fields are read: alpha, penalty, w_real, w_fake.
+    On glibc it first sets the process's malloc thresholds so that the
+    memory each chunk frees stays in the process for the next one.
     """
     if not pairs:
         raise ContractError("train_step needs a non-empty batch")
+    _keep_freed_memory()
     step = _chunk_length(enc, pairs[0].x1.shape[0], views=2)
     opt.zero_grad()
     ce_sum = c_sum = 0.0
@@ -537,10 +540,7 @@ def train(config: TrainConfig, dataset, on_epoch=None) -> tuple[Checkpoint, Trai
     `dataset` provides .train and .val sample lists.  Returns the checkpoint
     of the epoch with the highest validation AUC (strict-improvement
     comparison, patience from the config) and the per-epoch history.
-    On glibc it first sets the process's malloc thresholds so that the
-    memory each step frees stays in the process for the next step.
     """
-    _keep_freed_memory()
     train_samples = dataset.train
     _require_both_classes(train_samples, "train")
     _require_both_classes(dataset.val, "val")
@@ -608,6 +608,7 @@ def score_samples(enc: Params, cls: Params, samples) -> ScoredSet:
     """
     if not samples:
         raise ContractError("score_samples needs a non-empty sample list")
+    _keep_freed_memory()
     enc, cls = detach(enc), detach(cls)
     step = _chunk_length(enc, samples[0].image.shape[0], views=1)
     reps = []
@@ -631,6 +632,7 @@ def cross_view_distance(enc: Params, samples, aug: str, seed: int) -> float:
     """
     if not samples:
         raise ContractError("cross_view_distance needs a non-empty sample list")
+    _keep_freed_memory()
     enc = detach(enc)
     step = _chunk_length(enc, samples[0].image.shape[0], views=2)
     total = 0.0

@@ -384,6 +384,74 @@ class TestGradients:
         fd_check(lambda: self.weighted_sum(l2_normalize(v)), [v])
 
 
+def grads_of(out, g, tensors):
+    """Backpropagate the output gradient g through out; return each tensor's .grad."""
+    for p in tensors:
+        p.zero_grad()
+    (out * Tensor(g)).sum().backward()  # out receives exactly g
+    return [p.grad for p in tensors]
+
+
+class TestExactGradients:
+    """Gradient identities that hold to rounding, far tighter than fd_check."""
+
+    # y = depthwise_conv2d(x, k) is linear in x and in k, so for any g the
+    # adjoint identities <y, g> = <x, dx> = <k, dk> hold exactly.
+    @pytest.mark.parametrize(
+        "shape,kshape,pad",
+        [
+            ((2, 3, 5, 8), (3, 3, 3), 0),
+            ((2, 3, 5, 8), (3, 3, 3), 1),
+            ((2, 2, 5, 6), (2, 3, 3), 2),  # output larger than the input
+            ((2, 2, 5, 6), (2, 1, 3), 1),
+            ((2, 2, 6, 5), (2, 3, 1), 1),
+            ((2, 3, 7, 6), (3, 5, 5), 2),
+            ((2, 3, 7, 8), (3, 5, 5), 0),
+            ((3, 1, 6, 5), (1, 3, 3), 1),  # C = 1
+            ((1, 4, 5, 7), (4, 3, 3), 1),  # N = 1
+            # the three stages of one encoder pass at 8-64 and at 16-128 channels
+            ((16, 8, 64, 64), (8, 3, 3), 1),
+            ((16, 16, 32, 32), (16, 3, 3), 1),
+            ((16, 32, 16, 16), (32, 3, 3), 1),
+            ((8, 16, 64, 64), (16, 3, 3), 1),
+            ((8, 32, 32, 32), (32, 3, 3), 1),
+            ((8, 64, 16, 16), (64, 3, 3), 1),
+        ],
+    )
+    def test_depthwise_adjoint_identities(self, shape, kshape, pad):
+        rng = np.random.default_rng(5)
+        x, k = t(rng.uniform(-1, 1, shape)), t(rng.uniform(-1, 1, kshape))
+        y = depthwise_conv2d(x, k, pad=pad)
+        g = rng.uniform(-1, 1, y.shape)
+        dx, dk = grads_of(y, g, [x, k])
+        y_g = np.vdot(y.data, g)
+        assert abs(np.vdot(x.data, dx) - y_g) / abs(y_g) < 1e-12
+        assert abs(np.vdot(k.data, dk) - y_g) / abs(y_g) < 1e-12
+
+    def test_relu_matches_mask_product(self):
+        rng = np.random.default_rng(6)
+        xv = rng.standard_normal((2, 3, 4, 5))
+        xv.flat[:4] = [0.0, -0.0, 5e-324, -5e-324]
+        xv.flat[4] = np.nan
+        x = t(xv)
+        out = relu(x)
+        # equal up to the sign of zero: -0.0 * True is -0.0, max(-0.0, 0.0) either
+        np.testing.assert_array_equal(out.data, xv * (xv > 0))
+        g = rng.standard_normal(xv.shape)
+        (dx,) = grads_of(out, g, [x])
+        # + 0.0 as in _accumulate, which stores a fresh g + 0.0
+        np.testing.assert_array_equal(dx.view(np.int64), (g * (xv > 0) + 0.0).view(np.int64))
+
+    def test_avg_pool_gradient_matches_broadcast_formula(self):
+        rng = np.random.default_rng(8)
+        x = t(rng.standard_normal((2, 3, 6, 4)))
+        g = rng.standard_normal((2, 3, 3, 2))
+        (dx,) = grads_of(avg_pool2(x), g, [x])
+        expected = np.empty((2, 3, 3, 2, 2, 2))
+        np.multiply(g[:, :, :, None, :, None], 0.25, out=expected)
+        np.testing.assert_array_equal(dx.view(np.int64), (expected.reshape(2, 3, 6, 4) + 0.0).view(np.int64))
+
+
 class TestBackwardSemantics:
     def test_sum_gives_ones(self):
         x = t(np.random.default_rng(1).uniform(-1, 1, (3, 4)))

@@ -1,8 +1,12 @@
 """Training loop, early stopping, checkpoint container, evaluation."""
 
+import ast
+import os
 import platform
 import re
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -573,25 +577,40 @@ class TestTrainStep:
 
     @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the memory policy is glibc's mallopt")
     def test_steady_state_step_takes_no_page_faults(self):
-        import resource  # Unix only, like the policy
+        # A fresh process, so nothing has set the memory policy before
+        # train_step does.  train-ref shapes: 8 pairs of 64 px images,
+        # channels 8-16-32-64.  Without the policy each step faults about
+        # 11.9k pages back in.
+        script = """
+import resource
+from twoview import ndgrad
+from twoview.augment import RngStream, make_pair
+from twoview.model import ModelConfig, init_params, named_parameters
+from twoview.synthdata import gen_dataset
+from twoview.trainer import TrainConfig, train_step
 
-        # train-ref shapes: 8 pairs of 64 px images, channels 8-16-32-64.
-        # Without the policy each step faults about 11.9k pages back in.
-        ndgrad._keep_freed_memory()
-        samples = gen_dataset(n_real=10, ratio=1, seed=0, size=64).train[:8]
-        pairs = [
-            make_pair(s.image, s.label, "raaug",
-                      RngStream(0, 1, i, 0), RngStream(0, 1, i, 1), source_id=s.source_id)
-            for i, s in enumerate(samples)
-        ]
-        config = TrainConfig(model=ModelConfig(input_size=64, channels=(8, 16, 32, 64)))
-        enc, cls = init_params(config.model, seed=0)
-        opt = Adam(named_parameters(enc, cls))
-        faults = []
-        for _ in range(5):
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-            train_step(pairs, enc, cls, opt, config)
-            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+assert ndgrad._keep_freed_memory.cache_info().currsize == 0
+samples = gen_dataset(n_real=10, ratio=1, seed=0, size=64).train[:8]
+pairs = [
+    make_pair(s.image, s.label, "raaug",
+              RngStream(0, 1, i, 0), RngStream(0, 1, i, 1), source_id=s.source_id)
+    for i, s in enumerate(samples)
+]
+config = TrainConfig(model=ModelConfig(input_size=64, channels=(8, 16, 32, 64)))
+enc, cls = init_params(config.model, seed=0)
+opt = ndgrad.Adam(named_parameters(enc, cls))
+faults = []
+for _ in range(5):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train_step(pairs, enc, cls, opt, config)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(faults)
+"""
+        src = str(Path(trainer.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        faults = ast.literal_eval(proc.stdout.strip())
         assert max(faults[2:]) < 100, faults  # the first two steps are warm-up
 
     def test_empty_batch(self):
