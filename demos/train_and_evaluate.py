@@ -55,7 +55,7 @@ def main(out_dir: str = "demo_out/mini_run"):
     x = Tensor(np.stack([s.image for s in fakes]).transpose(0, 3, 1, 2))
     reps, maps = encoder_forward(x, enc)
     pick = int(np.argmax((reps.data @ cls["classifier/weight"].data.T)[:, 1]))
-    heat = cam(maps.data[pick], cls, class_index=1)
+    heat = cam(maps.data[pick], cls)
 
     write_ppm(out / "fake_input.ppm", fakes[pick].image)
     write_pgm(out / "fake_mask.pgm", fakes[pick].mask)

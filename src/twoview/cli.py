@@ -276,7 +276,7 @@ def cmd_cam(cfg: dict[str, Any], out: Path) -> None:
         sample = by_id[sample_id]
         x = sample.image.transpose(2, 0, 1)[None]
         _, maps = encoder_forward(Tensor(x), enc)
-        heat = cam(maps.data[0], cls, class_index=1)
+        heat = cam(maps.data[0], cls)
         size = sample.image.shape[0]
         up = np.clip(bilinear_resize(heat, size, size), 0.0, 1.0)
         write_ppm(out / f"{sample_id}_input.ppm", sample.image)

@@ -144,16 +144,14 @@ def classifier_forward(reps: Tensor, cls: Params) -> Tensor:
     return probs[:, 1]
 
 
-def cam(maps: np.ndarray, cls: Params, class_index: int) -> np.ndarray:
-    """Classifier-weighted sum of the final maps, min-max normalized to [0,1].
+def cam(maps: np.ndarray, cls: Params) -> np.ndarray:
+    """Fake-class-weighted sum of the final maps, min-max normalized to [0,1].
 
     The bias plays no part; a constant weighted sum normalizes to all zeros.
     """
     if maps.ndim != 3:
         raise ShapeError(f"cam expects [d,s,s] feature maps, got {maps.shape}")
-    if class_index not in (0, 1):
-        raise ContractError(f"class index must be 0 or 1, got {class_index}")
-    weights = cls["classifier/weight"].data[class_index]
+    weights = cls["classifier/weight"].data[1]
     if weights.shape[0] != maps.shape[0]:
         raise ShapeError(
             f"classifier width {weights.shape[0]} does not match {maps.shape[0]} channels"

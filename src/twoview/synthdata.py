@@ -346,6 +346,7 @@ def load_dataset(directory, shifted_test: bool = False, shift_seed: int = 0) -> 
 
     dataset = DatasetSplit()
     test_row = 0
+    first = None  # (file, shape) of the first image
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != 4:
             raise DatasetError(f"{index}:{lineno}: expected 4 columns, got {len(row)}")
@@ -362,6 +363,13 @@ def load_dataset(directory, shifted_test: bool = False, shift_seed: int = 0) -> 
             mask = read_pgm(directory / mask_file) > 0.5 if mask_file else None
         except ImageFileError as exc:
             raise DatasetError(str(exc)) from exc
+        if first is None:
+            first = (fname, image.shape)
+        elif image.shape != first[1]:
+            raise DatasetError(
+                f"{index}:{lineno}: {directory / fname} has shape {image.shape}, "
+                f"but the first image, {first[0]}, has shape {first[1]}"
+            )
         if split_name == "test" and shifted_test:
             image = dfdc_selim(image, RngStream(shift_seed, 0, test_row, 0))
         if split_name == "test":

@@ -441,13 +441,6 @@ def load_checkpoint(path) -> Checkpoint:
 # -- the loop itself ------------------------------------------------------------
 
 
-def _stack_views(pairs) -> np.ndarray:
-    """[2N,3,S,S]: view-1 rows first, then view-2 rows, same pair order."""
-    x1 = np.stack([p.x1 for p in pairs]).transpose(0, 3, 1, 2)
-    x2 = np.stack([p.x2 for p in pairs]).transpose(0, 3, 1, 2)
-    return np.concatenate([x1, x2], axis=0)
-
-
 # Bytes of the largest activation that one encoder pass holds: the stage-0
 # output, channels[1] * S * S float64s per image.  At the `twoview train`
 # defaults (16-128 channels, 64 px, 32 pairs) a pass over the whole batch
@@ -456,22 +449,43 @@ def _stack_views(pairs) -> np.ndarray:
 _CHUNK_BYTES = 8 << 20
 
 
-def _chunk_length(enc: Params, size: int, views: int) -> int:
-    """How many items of `views` size x size images one encoder pass takes."""
+def _chunks(items, enc: Params, size: int, views: int) -> list:
+    """Slices of `items`, each one encoder pass over `views` size x size images per item."""
     per_image = enc["encoder/stage0/pointwise"].shape[0] * size * size * 8
-    return max(1, _CHUNK_BYTES // (views * per_image))
+    step = max(1, _CHUNK_BYTES // (views * per_image))
+    return [items[start : start + step] for start in range(0, len(items), step)]
 
 
-def _check_representations(reps: np.ndarray, pairs) -> None:
+def _view_pairs(samples, indices, aug: str, seed: int, epoch: int) -> list:
+    """The view pair of samples[i] for each i, drawn at RngStream(seed, epoch, i, 0 and 1)."""
+    return [
+        make_pair(
+            samples[i].image,
+            samples[i].label,
+            aug,
+            RngStream(seed, epoch, int(i), 0),
+            RngStream(seed, epoch, int(i), 1),
+            source_id=samples[i].source_id,
+        )
+        for i in indices
+    ]
+
+
+def _encode_pairs(pairs, enc: Params) -> Tensor:
+    """[2N, d] representations: view-1 rows first, then view-2 rows, same pair order.
+
+    An all-zero row raises DegenerateVectorError naming its sample and view.
+    """
     n = len(pairs)
-    norms = np.linalg.norm(reps, axis=1)
-    bad = np.flatnonzero(norms <= EPS_NORM)
+    x = np.stack([p.x1 for p in pairs] + [p.x2 for p in pairs]).transpose(0, 3, 1, 2)
+    reps, _ = encoder_forward(Tensor(x), enc)
+    bad = np.flatnonzero(np.linalg.norm(reps.data, axis=1) <= EPS_NORM)
     if bad.size:
         i = int(bad[0])
-        pair = pairs[i % n]
         raise DegenerateVectorError(
-            f"sample {pair.source_id!r} (view {i // n + 1}) produced an all-zero representation"
+            f"sample {pairs[i % n].source_id!r} (view {i // n + 1}) produced an all-zero representation"
         )
+    return reps
 
 
 def _chunk_backward(pairs, enc: Params, cls: Params, config: TrainConfig) -> tuple[float, float]:
@@ -482,8 +496,7 @@ def _chunk_backward(pairs, enc: Params, cls: Params, config: TrainConfig) -> tup
     next chunk's forward pass.
     """
     n = len(pairs)
-    reps, _ = encoder_forward(Tensor(_stack_views(pairs)), enc)
-    _check_representations(reps.data, pairs)
+    reps = _encode_pairs(pairs, enc)
     probs = classifier_forward(reps, cls)
     labels = np.array([p.label for p in pairs])
 
@@ -513,11 +526,10 @@ def train_step(pairs, enc: Params, cls: Params, opt: Adam, config: TrainConfig) 
     if not pairs:
         raise ContractError("train_step needs a non-empty batch")
     _keep_freed_memory()
-    step = _chunk_length(enc, pairs[0].x1.shape[0], views=2)
     opt.zero_grad()
     ce_sum = c_sum = 0.0
-    for start in range(0, len(pairs), step):
-        ce, consistency = _chunk_backward(pairs[start : start + step], enc, cls, config)
+    for chunk in _chunks(pairs, enc, pairs[0].x1.shape[0], views=2):
+        ce, consistency = _chunk_backward(chunk, enc, cls, config)
         ce_sum += ce
         c_sum += consistency
     opt.step()
@@ -565,17 +577,7 @@ def train(config: TrainConfig, dataset, on_epoch=None) -> tuple[Checkpoint, Trai
         ce_total = 0.0
         c_total = 0.0
         for b in range(n_batches):  # the last partial batch is dropped
-            pairs = [
-                make_pair(
-                    train_samples[i].image,
-                    train_samples[i].label,
-                    config.aug,
-                    RngStream(aug_seed, epoch, int(i), 0),
-                    RngStream(aug_seed, epoch, int(i), 1),
-                    source_id=train_samples[i].source_id,
-                )
-                for i in perm[b * n : (b + 1) * n]
-            ]
+            pairs = _view_pairs(train_samples, perm[b * n : (b + 1) * n], config.aug, aug_seed, epoch)
             ce, consistency = train_step(pairs, enc, cls, opt, config)
             ce_total += ce
             c_total += consistency
@@ -610,10 +612,9 @@ def score_samples(enc: Params, cls: Params, samples) -> ScoredSet:
         raise ContractError("score_samples needs a non-empty sample list")
     _keep_freed_memory()
     enc, cls = detach(enc), detach(cls)
-    step = _chunk_length(enc, samples[0].image.shape[0], views=1)
     reps = []
-    for start in range(0, len(samples), step):
-        x = np.stack([s.image for s in samples[start : start + step]]).transpose(0, 3, 1, 2)
+    for chunk in _chunks(samples, enc, samples[0].image.shape[0], views=1):
+        x = np.stack([s.image for s in chunk]).transpose(0, 3, 1, 2)
         reps.append(encoder_forward(Tensor(x), enc)[0].data)
     scores = classifier_forward(Tensor(np.concatenate(reps)), cls).data
     return ScoredSet(scores=scores, labels=_labels_of(samples))
@@ -634,23 +635,9 @@ def cross_view_distance(enc: Params, samples, aug: str, seed: int) -> float:
         raise ContractError("cross_view_distance needs a non-empty sample list")
     _keep_freed_memory()
     enc = detach(enc)
-    step = _chunk_length(enc, samples[0].image.shape[0], views=2)
     total = 0.0
-    for start in range(0, len(samples), step):
-        chunk = samples[start : start + step]
-        pairs = [
-            make_pair(
-                s.image,
-                s.label,
-                aug,
-                RngStream(seed, 0, start + j, 0),
-                RngStream(seed, 0, start + j, 1),
-                source_id=s.source_id,
-            )
-            for j, s in enumerate(chunk)
-        ]
-        reps, _ = encoder_forward(Tensor(_stack_views(pairs)), enc)
-        _check_representations(reps.data, pairs)
-        m = len(chunk)
+    for positions in _chunks(range(len(samples)), enc, samples[0].image.shape[0], views=2):
+        reps = _encode_pairs(_view_pairs(samples, positions, aug, seed, 0), enc)
+        m = len(positions)
         total += batch_consistency(reps[:m], reps[m:], "cos").item()
     return total / len(samples)

@@ -5,6 +5,8 @@ asserted directly. Heavier fixtures (a generated dataset, one trained
 checkpoint) are module-scoped and shared.
 """
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from twoview.cli import (
     main,
     resolve_config,
 )
-from twoview.imgops import read_pgm, read_ppm
+from twoview.imgops import read_pgm, read_ppm, write_ppm
 from twoview.synthdata import gen_dataset, load_dataset
 from twoview.trainer import load_checkpoint, params_from_checkpoint
 
@@ -240,6 +242,21 @@ class TestExitCodes:
         assert run_cli("gen-data", "--out", taken) == 1
         assert "error:" in capsys.readouterr().err
         assert taken.read_text() == "not a directory\n"
+
+    def test_mixed_image_sizes_are_runtime_errors(self, run_dir, data_dir, tmp_path, capsys):
+        # one test image at 64 px among 32 px ones: both commands exit 1, naming it
+        mixed = tmp_path / "mixed"
+        shutil.copytree(data_dir, mixed)
+        fname = load_dataset(data_dir).test[0].source_id + ".ppm"
+        write_ppm(mixed / fname, np.full((64, 64, 3), 0.5))
+        code = run_cli("train", "--data", mixed, "--out", tmp_path / "t", "--epochs", 1,
+                       "--pairs-per-batch", 4, "--channels", "4,6")
+        assert code == 1
+        assert fname in capsys.readouterr().err
+        code = run_cli("eval", "--checkpoint", run_dir / "model.ckpt", "--data", mixed,
+                       "--out", tmp_path / "e")
+        assert code == 1
+        assert fname in capsys.readouterr().err
 
 
 # -- gen-data --------------------------------------------------------------------

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from twoview.augment import RngStream
+from twoview.imgops import write_ppm
 from twoview.metrics import ScoredSet, auc
 from twoview.ndgrad import ContractError
 from twoview.synthdata import (
@@ -352,6 +353,19 @@ class TestSaveLoad:
         )
         with pytest.raises(DatasetError, match="gone.ppm"):
             load_dataset(tmp_path)
+
+    def test_mixed_image_sizes_rejected(self, tmp_path):
+        ds = gen_dataset(n_real=10, ratio=1, seed=0, size=32)
+        save_dataset(ds, tmp_path)
+        lines = (tmp_path / "index.csv").read_text().splitlines()
+        lineno, row = next((k, l) for k, l in enumerate(lines, start=1) if ",test," in l)
+        fname = row.split(",")[0]
+        write_ppm(tmp_path / fname, np.full((64, 64, 3), 0.5))
+        with pytest.raises(DatasetError) as err:
+            load_dataset(tmp_path)
+        message = str(err.value)
+        assert f"index.csv:{lineno}:" in message and fname in message
+        assert "(64, 64, 3)" in message and "(32, 32, 3)" in message
 
     def test_fake_without_mask_rejected(self, tmp_path):
         (tmp_path / "index.csv").write_text(

@@ -556,7 +556,7 @@ class TestTrainStep:
             for i, s in enumerate(samples)
         ]
         enc, _ = init_params(model, seed=7)
-        assert trainer._chunk_length(enc, 64, views=2) < len(pairs)
+        assert len(trainer._chunks(pairs, enc, 64, views=2)) > 1
         for cfg in (TrainConfig(alpha=2.0, w_real=3.0, w_fake=0.5), TrainConfig(alpha=0.0)):
             stepped, hand_rolled = self.step_both_ways(pairs, cfg, model)
             for name, p in hand_rolled.items():
@@ -675,6 +675,38 @@ class TestTrain:
         ckpt, hist = train(tiny_config(max_epochs=4, patience=2), tiny_dataset)
         assert len(hist.epochs) == 4
         assert ckpt.epoch == 4
+
+    def test_view_addresses(self, tiny_dataset, monkeypatch):
+        # each pair is drawn at RngStream(aug seed, epoch, i, view), where i is
+        # the sample's index in the training split, not its place in the batch
+        cfg = tiny_config(max_epochs=2, seed=11)
+        batches = []
+
+        def capture(pairs, enc, cls, opt, config):
+            batches.append(pairs)
+            return 0.0, 0.0
+
+        monkeypatch.setattr(trainer, "train_step", capture)
+        train(cfg, tiny_dataset)
+        samples = tiny_dataset.train
+        n = cfg.pairs_per_batch
+        n_batches = len(samples) // n
+        assert len(batches) == 2 * n_batches
+        aug_seed = derive_seed(cfg.seed, "aug")
+        for epoch in (1, 2):
+            perm = RngStream(derive_seed(cfg.seed, "shuffle"), epoch, 0, 0).generator().permutation(len(samples))
+            assert not np.array_equal(perm[: n_batches * n], np.arange(n_batches * n))
+            for b in range(n_batches):
+                pairs = batches[(epoch - 1) * n_batches + b]
+                for pair, i in zip(pairs, perm[b * n : (b + 1) * n], strict=True):
+                    s = samples[i]
+                    expected = make_pair(
+                        s.image, s.label, cfg.aug,
+                        RngStream(aug_seed, epoch, int(i), 0), RngStream(aug_seed, epoch, int(i), 1),
+                    )
+                    assert pair.source_id == s.source_id and pair.label == s.label
+                    np.testing.assert_array_equal(pair.x1, expected.x1)
+                    np.testing.assert_array_equal(pair.x2, expected.x2)
 
     def test_on_epoch_callback(self, tiny_dataset):
         seen = []
@@ -831,7 +863,9 @@ class TestCrossViewDistance:
             for i, s in enumerate(samples)
         ]
         n = len(pairs)
-        reps, _ = encoder_forward(Tensor(trainer._stack_views(pairs)), enc)
+        x1 = np.stack([p.x1 for p in pairs]).transpose(0, 3, 1, 2)
+        x2 = np.stack([p.x2 for p in pairs]).transpose(0, 3, 1, 2)
+        reps, _ = encoder_forward(Tensor(np.concatenate([x1, x2])), enc)
         whole = batch_consistency(reps[:n], reps[n:], "cos").item() / n
         for budget in (trainer._CHUNK_BYTES, chunk_budget(2), chunk_budget(6)):
             monkeypatch.setattr(trainer, "_CHUNK_BYTES", budget)
