@@ -11,11 +11,12 @@ from pathlib import Path
 
 import numpy as np
 
-from twoview.imgops import write_pgm, write_ppm
+from twoview.imgops import bilinear_resize, write_pgm, write_ppm
+from twoview.metrics import compute_report
 from twoview.model import ModelConfig, cam, encoder_forward
 from twoview.ndgrad import Tensor
 from twoview.synthdata import gen_dataset
-from twoview.trainer import TrainConfig, evaluate, params_from_checkpoint, train
+from twoview.trainer import TrainConfig, params_from_checkpoint, score_samples, train
 
 
 def main(out_dir: str = "demo_out/mini_run"):
@@ -46,23 +47,23 @@ def main(out_dir: str = "demo_out/mini_run"):
     )
     enc, cls = params_from_checkpoint(ckpt)
 
-    report = evaluate(enc, cls, dataset.test)
+    scored = score_samples(enc, cls, dataset.test)
+    report = compute_report(scored)
     print(f"\ntest auc {report.auc:.3f}  (best checkpoint: epoch {ckpt.epoch})")
 
-    # Heatmap for the highest-scoring fake: upscaled classifier-weighted
-    # feature maps, next to the input and the true tamper mask.
-    fakes = [s for s in dataset.test if s.label == 1]
-    x = Tensor(np.stack([s.image for s in fakes]).transpose(0, 3, 1, 2))
-    reps, maps = encoder_forward(x, enc)
-    pick = int(np.argmax((reps.data @ cls["classifier/weight"].data.T)[:, 1]))
-    heat = cam(maps.data[pick], cls)
+    # Heatmap for the fake with the highest P(fake), the score `twoview eval`
+    # reports, upsampled as `twoview cam` does: classifier-weighted feature
+    # maps, next to the input and the true tamper mask.
+    fake_rows = np.flatnonzero(scored.labels == 1)
+    fake = dataset.test[fake_rows[np.argmax(scored.scores[fake_rows])]]
+    _, maps = encoder_forward(Tensor(fake.image.transpose(2, 0, 1)[None]), enc)
+    heat = cam(maps.data[0], cls)
 
-    write_ppm(out / "fake_input.ppm", fakes[pick].image)
-    write_pgm(out / "fake_mask.pgm", fakes[pick].mask)
-    side = fakes[pick].image.shape[0]
-    up = np.clip(np.kron(heat, np.ones((side // heat.shape[0],) * 2)), 0.0, 1.0)
-    write_pgm(out / "fake_cam.pgm", up)
-    print(f"wrote input / mask / heatmap for {fakes[pick].source_id} to {out}/")
+    write_ppm(out / "fake_input.ppm", fake.image)
+    write_pgm(out / "fake_mask.pgm", fake.mask)
+    side = fake.image.shape[0]
+    write_pgm(out / "fake_cam.pgm", np.clip(bilinear_resize(heat, side, side), 0.0, 1.0))
+    print(f"wrote input / mask / heatmap for {fake.source_id} to {out}/")
 
 
 if __name__ == "__main__":

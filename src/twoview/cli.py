@@ -28,6 +28,7 @@ from .synthdata import SPLIT_NAMES, DatasetError, gen_dataset, load_dataset, sav
 from .trainer import (
     CheckpointError,
     TrainConfig,
+    _require_both_classes,
     load_checkpoint,
     params_from_checkpoint,
     save_checkpoint,
@@ -198,6 +199,7 @@ def cmd_gen_data(cfg: dict[str, Any], out: Path) -> None:
 
 
 def _model_config_for(cfg: dict[str, Any], dataset) -> ModelConfig:
+    _require_both_classes(dataset.train, "train")
     input_size = dataset.train[0].image.shape[0]
     channels = tuple(int(p) for p in cfg["channels"].split(","))
     return ModelConfig(input_size=input_size, channels=channels)
@@ -232,15 +234,28 @@ def cmd_train(cfg: dict[str, Any], out: Path) -> None:
     print(f"best epoch {ckpt.epoch} (val_auc {ckpt.best_val_auc:.4f}) -> {out / 'model.ckpt'}")
 
 
+def _load_model_and_data(cfg: dict[str, Any], **dataset_options) -> tuple:
+    """(enc, cls, dataset) for `cfg`'s checkpoint and data, whose images
+    must be of the size that the checkpoint's model takes."""
+    ckpt = load_checkpoint(cfg["checkpoint"])
+    enc, cls = params_from_checkpoint(ckpt)
+    dataset = load_dataset(cfg["data"], **dataset_options)
+    side = ckpt.config.input_size
+    # load_dataset has checked that every image has the first one's shape
+    first = next((s for name in SPLIT_NAMES for s in dataset.split(name)), None)
+    if first is not None and first.image.shape[:2] != (side, side):
+        height, width = first.image.shape[:2]
+        raise DatasetError(
+            f"{cfg['data']} holds {height}x{width} images, but {cfg['checkpoint']} takes {side}x{side}"
+        )
+    return enc, cls, dataset
+
+
 def cmd_eval(cfg: dict[str, Any], out: Path) -> None:
     if cfg["shifted_test"] and cfg["split"] != "test":
         raise ConfigError(f"shifted_test corrupts only the test split, but split = {cfg['split']!r}")
-    ckpt = load_checkpoint(cfg["checkpoint"])
-    enc, cls = params_from_checkpoint(ckpt)
-    dataset = load_dataset(
-        cfg["data"],
-        shifted_test=cfg["shifted_test"],
-        shift_seed=derive_seed(cfg["seed"], "shifted-test"),
+    enc, cls, dataset = _load_model_and_data(
+        cfg, shifted_test=cfg["shifted_test"], shift_seed=derive_seed(cfg["seed"], "shifted-test")
     )
     samples = dataset.split(cfg["split"])
     if not samples:
@@ -261,10 +276,8 @@ def _heat_overlay(image: np.ndarray, heat: np.ndarray) -> np.ndarray:
 
 
 def cmd_cam(cfg: dict[str, Any], out: Path) -> None:
-    ckpt = load_checkpoint(cfg["checkpoint"])
-    enc, cls = params_from_checkpoint(ckpt)
+    enc, cls, dataset = _load_model_and_data(cfg)
     enc = detach(enc)
-    dataset = load_dataset(cfg["data"])
     by_id = {s.source_id: s for name in SPLIT_NAMES for s in dataset.split(name)}
     ids = [token.strip() for token in cfg["ids"].split(",") if token.strip()]
     if not ids:

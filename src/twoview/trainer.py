@@ -175,6 +175,26 @@ class Checkpoint:
     seed: int
 
 
+# The one-value entries of the file, in file order: the optimizer entries
+# sit between the parameters and the moments, the metadata between the
+# moments and meta/seed.  A row is (entry, Checkpoint field, int for a whole
+# number or float, the accepted range as an error states it, its test).  A
+# loaded value must also be finite; a float64 holds every integer below 2**53.
+_SCALARS = {
+    "optimizer entry": (
+        ("adam/t", "adam_t", int, "in [0, 2**53)", lambda v: 0 <= v < 2**53),
+        ("adam/lr", "lr", float, "> 0", lambda v: v > 0),
+        ("adam/beta1", "beta1", float, "in [0, 1)", lambda v: 0 <= v < 1),
+        ("adam/beta2", "beta2", float, "in [0, 1)", lambda v: 0 <= v < 1),
+        ("adam/eps", "eps", float, "> 0", lambda v: v > 0),
+    ),
+    "metadata": (
+        ("meta/epoch", "epoch", int, "in [0, 2**53)", lambda v: 0 <= v < 2**53),
+        ("meta/best_val_auc", "best_val_auc", float, "in [0, 1]", lambda v: 0 <= v <= 1),
+    ),
+}
+
+
 def snapshot_checkpoint(
     enc: Params,
     cls: Params,
@@ -226,19 +246,19 @@ def _tensor_table(ckpt: Checkpoint) -> dict[str, np.ndarray]:
         "config/channels": np.array(ckpt.config.channels, dtype=np.float64),
         "config/num_classes": np.array([2.0]),  # binary task; kept so the layout stays v2
     }
+
+    def add_scalars(what: str) -> None:
+        for name, field, *_ in _SCALARS[what]:
+            table[name] = np.array([getattr(ckpt, field)], dtype=np.float64)
+
     for name, arr in ckpt.params.items():
         table[name] = arr
-    table["adam/t"] = np.array([ckpt.adam_t], dtype=np.float64)
-    table["adam/lr"] = np.array([ckpt.lr], dtype=np.float64)
-    table["adam/beta1"] = np.array([ckpt.beta1], dtype=np.float64)
-    table["adam/beta2"] = np.array([ckpt.beta2], dtype=np.float64)
-    table["adam/eps"] = np.array([ckpt.eps], dtype=np.float64)
+    add_scalars("optimizer entry")
     for name, arr in ckpt.adam_m.items():
         table[f"adam/m/{name}"] = arr
     for name, arr in ckpt.adam_v.items():
         table[f"adam/v/{name}"] = arr
-    table["meta/epoch"] = np.array([ckpt.epoch], dtype=np.float64)
-    table["meta/best_val_auc"] = np.array([ckpt.best_val_auc], dtype=np.float64)
+    add_scalars("metadata")
     table["meta/seed"] = np.array(
         [ckpt.seed >> 32, ckpt.seed & 0xFFFFFFFF], dtype=np.float64
     )
@@ -277,27 +297,6 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         raise
 
 
-class _Reader:
-    def __init__(self, data, path):
-        self.data = data
-        self.off = 0
-        self.path = path
-
-    def skip(self, n: int, what: str) -> int:
-        """Step over the next `n` bytes and return the offset they start at."""
-        if self.off + n > len(self.data):
-            raise CheckpointError(f"{self.path}: truncated at offset {self.off} while reading {what}")
-        self.off += n
-        return self.off - n
-
-    def take(self, n: int, what: str) -> bytes:
-        start = self.skip(n, what)
-        return bytes(self.data[start : self.off])
-
-    def u(self, n: int, what: str) -> int:
-        return int.from_bytes(self.take(n, what), "little")
-
-
 def _parse_tensor_table(data: bytes, path) -> dict[str, np.ndarray]:
     """Check size, magic, version and checksum, in that order, then read the table.
 
@@ -325,30 +324,40 @@ def _parse_tensor_table(data: bytes, path) -> dict[str, np.ndarray]:
 
 
 def _read_table(body, path) -> dict[str, np.ndarray]:
-    reader = _Reader(body, path)
-    reader.skip(len(MAGIC) + 4, "header")
-    count = reader.u(4, "tensor count")
+    off = len(MAGIC) + 4  # magic and version, checked by the caller
+
+    def take(n: int, what: str):
+        # the next n bytes of the body
+        nonlocal off
+        if off + n > len(body):
+            raise CheckpointError(f"{path}: truncated at offset {off} while reading {what}")
+        off += n
+        return body[off - n : off]
+
+    def u(n: int, what: str) -> int:
+        return int.from_bytes(take(n, what), "little")
+
+    count = u(4, "tensor count")
     table: dict[str, np.ndarray] = {}
     for _ in range(count):
-        name_len = reader.u(2, "name length")
+        name_len = u(2, "name length")
         try:
-            name = reader.take(name_len, "tensor name").decode("utf-8")
+            name = bytes(take(name_len, "tensor name")).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"{path}: tensor name is not valid UTF-8") from exc
         if name in table:
             raise CheckpointError(f"{path}: duplicate tensor {name!r}")
-        rank = reader.u(1, f"rank of {name}")
+        rank = u(1, f"rank of {name}")
         if rank < 1:
             raise CheckpointError(f"{path}: tensor {name!r} has rank 0")
-        dims = tuple(reader.u(4, f"dim {i} of {name}") for i in range(rank))
+        dims = tuple(u(4, f"dim {i} of {name}") for i in range(rank))
         if any(d < 1 for d in dims):
             raise CheckpointError(f"{path}: tensor {name!r} has a zero dimension")
         # math.prod is exact; np.prod wraps around in int64
-        n_values = math.prod(dims)
-        start = reader.skip(8 * n_values, f"payload of {name}")
-        table[name] = np.frombuffer(body, "<f8", n_values, start).reshape(dims).astype(np.float64)
-    if reader.off != len(body):
-        raise CheckpointError(f"{path}: {len(body) - reader.off} trailing bytes after the tensor table")
+        payload = take(8 * math.prod(dims), f"payload of {name}")
+        table[name] = np.frombuffer(payload, "<f8").reshape(dims).astype(np.float64)
+    if off != len(body):
+        raise CheckpointError(f"{path}: {len(body) - off} trailing bytes after the tensor table")
     return table
 
 
@@ -358,36 +367,39 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path}: no such file")
     table = _parse_tensor_table(path.read_bytes(), path)
 
-    def pull(name, what="tensor"):
+    def pull(name, what, shape=(1,)):
+        # shape None: rank 1 of any length
         if name not in table:
             raise CheckpointError(f"{path}: missing {what} {name!r}")
-        return table.pop(name)
-
-    def pull_values(name, what, count=1):
-        # a rank-1 entry of `count` values (any length when count is None)
-        arr = pull(name, what)
-        if arr.ndim != 1 or (count is not None and arr.size != count):
-            expected = (count,) if count else "rank 1"
-            raise CheckpointError(f"{path}: {what} {name!r} has shape {arr.shape}, expected {expected}")
+        arr = table.pop(name)
+        if (arr.ndim != 1) if shape is None else (arr.shape != shape):
+            raise CheckpointError(
+                f"{path}: {what} {name!r} has shape {arr.shape}, expected {shape or 'rank 1'}"
+            )
         return arr
 
-    def pull_ints(name, what, count=1, lo=0, bits=53):
+    def pull_ints(name, what, shape=(1,), lo=0, bits=53):
         # whole numbers in [lo, 2**bits); a float64 holds every integer below 2**53
-        arr = pull_values(name, what, count)
+        arr = pull(name, what, shape)
         if not np.all((arr >= lo) & (arr < 2.0**bits) & (arr == np.floor(arr))):
             raise CheckpointError(
                 f"{path}: {what} {name!r} must hold whole numbers in [{lo}, 2**{bits}), got {arr.tolist()}"
             )
         return [int(v) for v in arr]
 
-    def pull_float(name, what, in_range, expected):
-        (value,) = pull_values(name, what)
-        if not (np.isfinite(value) and in_range(value)):
-            raise CheckpointError(f"{path}: {what} {name!r} must be finite and {expected}, got {value!r}")
-        return float(value)
+    def pull_scalars(what) -> dict:
+        # one section of _SCALARS, as Checkpoint field -> Python int or float
+        values = {}
+        for name, field, kind, expected, in_range in _SCALARS[what]:
+            (value,) = pull(name, what)
+            if not (np.isfinite(value) and in_range(value) and kind(value) == value):
+                noun = "a whole number" if kind is int else "finite"
+                raise CheckpointError(f"{path}: {what} {name!r} must be {noun} and {expected}, got {value}")
+            values[field] = kind(value)
+        return values
 
     (input_size,) = pull_ints("config/input_size", "config entry", lo=1)
-    channels = pull_ints("config/channels", "config entry", count=None, lo=1)
+    channels = pull_ints("config/channels", "config entry", shape=None, lo=1)
     (num_classes,) = pull_ints("config/num_classes", "config entry")
     if num_classes != 2:
         raise CheckpointError(f"{path}: config entry 'config/num_classes' must be 2, got {num_classes}")
@@ -398,44 +410,18 @@ def load_checkpoint(path) -> Checkpoint:
             f"{path}: config/input_size and config/channels describe no valid model: {exc}"
         ) from exc
     expected = param_shapes(config)
-    params: dict[str, np.ndarray] = {}
-    for name, shape in expected.items():
-        arr = pull(name, "parameter")
-        if arr.shape != shape:
-            raise CheckpointError(f"{path}: parameter {name!r} has shape {arr.shape}, expected {shape}")
-        params[name] = arr
-    (adam_t,) = pull_ints("adam/t", "optimizer entry")
-    lr = pull_float("adam/lr", "optimizer entry", lambda v: v > 0, "> 0")
-    beta1 = pull_float("adam/beta1", "optimizer entry", lambda v: 0 <= v < 1, "in [0, 1)")
-    beta2 = pull_float("adam/beta2", "optimizer entry", lambda v: 0 <= v < 1, "in [0, 1)")
-    eps = pull_float("adam/eps", "optimizer entry", lambda v: v > 0, "> 0")
+    params = {name: pull(name, "parameter", shape) for name, shape in expected.items()}
+    optimizer = pull_scalars("optimizer entry")
     adam_m, adam_v = {}, {}
     for name, shape in expected.items():
-        m = pull(f"adam/m/{name}", "optimizer moment")
-        v = pull(f"adam/v/{name}", "optimizer moment")
-        if m.shape != shape or v.shape != shape:
-            raise CheckpointError(f"{path}: optimizer moments for {name!r} have the wrong shape")
-        adam_m[name], adam_v[name] = m, v
-    (epoch,) = pull_ints("meta/epoch", "metadata")
-    best_val_auc = pull_float("meta/best_val_auc", "metadata", lambda v: 0 <= v <= 1, "in [0, 1]")
-    seed_high, seed_low = pull_ints("meta/seed", "metadata", count=2, bits=32)
+        adam_m[name] = pull(f"adam/m/{name}", "optimizer moment", shape)
+        adam_v[name] = pull(f"adam/v/{name}", "optimizer moment", shape)
+    metadata = pull_scalars("metadata")
+    seed_high, seed_low = pull_ints("meta/seed", "metadata", shape=(2,), bits=32)
     seed = (seed_high << 32) | seed_low
     if table:
         raise CheckpointError(f"{path}: unexpected tensors {sorted(table)}")
-    return Checkpoint(
-        config=config,
-        params=params,
-        adam_m=adam_m,
-        adam_v=adam_v,
-        adam_t=adam_t,
-        lr=lr,
-        beta1=beta1,
-        beta2=beta2,
-        eps=eps,
-        epoch=epoch,
-        best_val_auc=best_val_auc,
-        seed=seed,
-    )
+    return Checkpoint(config, params, adam_m, adam_v, seed=seed, **optimizer, **metadata)
 
 
 # -- the loop itself ------------------------------------------------------------

@@ -212,6 +212,34 @@ def checkpoint_body(table: dict, version: int = 2) -> bytes:
     return out
 
 
+def checkpoint_v2_entries(ckpt) -> dict:
+    """The format-2 entries of a trainer.Checkpoint, listed by hand in file order.
+
+    A scalar is a one-value tensor; the u64 seed is stored as two 32-bit
+    halves.  This list pins the layout apart from the code that writes it.
+    """
+
+    def one(value):
+        return np.array([value], dtype=np.float64)
+
+    return {
+        "config/input_size": one(ckpt.config.input_size),
+        "config/channels": np.array(ckpt.config.channels, dtype=np.float64),
+        "config/num_classes": one(2),
+        **ckpt.params,
+        "adam/t": one(ckpt.adam_t),
+        "adam/lr": one(ckpt.lr),
+        "adam/beta1": one(ckpt.beta1),
+        "adam/beta2": one(ckpt.beta2),
+        "adam/eps": one(ckpt.eps),
+        **{f"adam/m/{name}": arr for name, arr in ckpt.adam_m.items()},
+        **{f"adam/v/{name}": arr for name, arr in ckpt.adam_v.items()},
+        "meta/epoch": one(ckpt.epoch),
+        "meta/best_val_auc": one(ckpt.best_val_auc),
+        "meta/seed": np.array([ckpt.seed >> 32, ckpt.seed % 2**32], dtype=np.float64),
+    }
+
+
 def sealed(body: bytes) -> bytes:
     """`body` followed by the format-2 trailer: its 8-byte BLAKE2b digest."""
     return body + hashlib.blake2b(body, digest_size=8).digest()

@@ -258,6 +258,33 @@ class TestExitCodes:
         assert code == 1
         assert fname in capsys.readouterr().err
 
+    def test_images_of_another_size_than_the_checkpoint_are_runtime_errors(self, run_dir, tmp_path,
+                                                                           capsys):
+        # run_dir's model takes 32 px; a fully convolutional encoder would score 64 px
+        # images without complaint, so both commands must refuse them and name both sizes
+        big = tmp_path / "big"
+        assert run_cli("gen-data", "--out", big, "--n-real", 12, "--ratio", 1, "--size", 64) == 0
+        sample_id = load_dataset(big).test[0].source_id
+        for command, extra in (("eval", ()), ("cam", ("--ids", sample_id))):
+            out = tmp_path / command
+            code = run_cli(command, "--checkpoint", run_dir / "model.ckpt", "--data", big,
+                           "--out", out, *extra)
+            assert code == 1, command
+            err = capsys.readouterr().err
+            assert "64x64" in err and "32x32" in err, err
+            assert [p.name for p in out.iterdir()] == ["resolved.cfg"], command
+
+    def test_train_split_without_rows_is_usage_error(self, data_dir, tmp_path, capsys):
+        # as for a one-class train split; reading the input size off train[0] crashed here
+        data = tmp_path / "no_train"
+        shutil.copytree(data_dir, data)
+        index = data / "index.csv"
+        lines = index.read_text().splitlines(keepends=True)
+        index.write_text("".join(line for line in lines if ",train," not in line))
+        code = run_cli("train", "--data", data, "--out", tmp_path / "o", "--channels", "4,6")
+        assert code == 2
+        assert "train split needs samples of both classes" in capsys.readouterr().err
+
 
 # -- gen-data --------------------------------------------------------------------
 
