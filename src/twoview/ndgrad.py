@@ -88,15 +88,27 @@ def _as_array(value) -> np.ndarray:
     return arr
 
 
-def _accumulate(t: "Tensor", g: np.ndarray) -> None:
-    """Add g into t.grad, creating the buffer on the first accumulation."""
-    if t.grad is None:
-        # g + 0.0 is a fresh array with the bits of zeros + g; g itself may be
-        # shared (add hands the same g to both parents) or a read-only view.
-        # asarray keeps a 0-d sum an array rather than a numpy scalar.
-        t.grad = np.asarray(g + 0.0)
-    else:
+def _accumulate(t: "Tensor", g: np.ndarray, owned: bool = False) -> None:
+    """Add g into t.grad; the first gradient a tensor receives becomes its buffer.
+
+    A backward closure passes owned=True for an array it has just allocated
+    and hands to no other tensor.  An interior tensor (one with a _backward)
+    then keeps a C-contiguous owned g itself as .grad, and its own closure may
+    overwrite it.  Every other first gradient is stored as a fresh g + 0.0:
+    g may be shared (add hands one g to both parents) or a read-only view, a
+    leaf's .grad persists across backward passes, and a strided view would
+    change how a later reduction over it rounds.  g + 0.0 differs from g only
+    in turning -0.0 into 0.0.  Backward only adds gradients, multiplies them
+    and divides them by data, so a zero's sign changes no nonzero result, and
+    a leaf's g + 0.0 makes its zeros positive either way: both paths train to
+    the same bits.  asarray keeps a 0-d gradient an array, not a numpy scalar.
+    """
+    if t.grad is not None:
         t.grad += g
+    elif owned and t._backward is not None and g.flags.c_contiguous:
+        t.grad = np.asarray(g)
+    else:
+        t.grad = np.asarray(g + 0.0)
 
 
 class Tensor:
@@ -177,13 +189,17 @@ class Tensor:
     def backward(self) -> None:
         """Accumulate d(self)/d(leaf) into .grad across the recorded graph.
 
-        Only defined for scalar outputs.  A gradient buffer is created on the
-        first accumulation into a tensor, so a tensor that receives no
+        Only defined for scalar outputs.  A tensor's first gradient becomes
+        its ``.grad`` (see ``_accumulate``), so a tensor that receives no
         gradient keeps ``.grad`` None.  Leaf tensors accumulate into any
         gradient already present, so callers that reuse parameters across
         steps should zero them first.  Interior gradients are released as
         soon as their node has passed them on: after the call only leaves
-        hold a ``.grad``.
+        hold a ``.grad``.  A node's closure therefore owns the gradient it
+        is passed and may overwrite it, as relu and avg_pool2 do, or hand it
+        to its input as that input's buffer.  Likewise a closure may hand an
+        interior input an array it has just allocated, with owned=True,
+        instead of having ``_accumulate`` copy it.
         """
         if self.data.size != 1:
             raise ContractError(
@@ -238,7 +254,7 @@ class Tensor:
     def __neg__(self) -> "Tensor":
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                _accumulate(self, -g)
+                _accumulate(self, -g, owned=True)
 
         return Tensor._from_op(-self.data, (self,), backward, "neg")
 
@@ -255,9 +271,9 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                _accumulate(self, self._reduce_to(g * other.data, self.data.shape))
+                _accumulate(self, self._reduce_to(g * other.data, self.data.shape), owned=True)
             if other.requires_grad:
-                _accumulate(other, self._reduce_to(g * self.data, other.data.shape))
+                _accumulate(other, self._reduce_to(g * self.data, other.data.shape), owned=True)
 
         return Tensor._from_op(out_data, (self, other), backward, "mul")
 
@@ -272,7 +288,7 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                _accumulate(self, g * exponent * self.data ** (exponent - 1.0))
+                _accumulate(self, g * exponent * self.data ** (exponent - 1.0), owned=True)
 
         return Tensor._from_op(out_data, (self,), backward, "pow")
 
@@ -280,14 +296,14 @@ class Tensor:
         # Subgradient 0 at exactly 0.
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                _accumulate(self, g * np.sign(self.data))
+                _accumulate(self, g * np.sign(self.data), owned=True)
 
         return Tensor._from_op(np.abs(self.data), (self,), backward, "abs")
 
     def log(self) -> "Tensor":
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                _accumulate(self, g / self.data)
+                _accumulate(self, g / self.data, owned=True)
 
         return Tensor._from_op(np.log(self.data), (self,), backward, "log")
 
@@ -300,7 +316,7 @@ class Tensor:
 
         def backward(g: np.ndarray) -> None:
             if self.requires_grad:
-                _accumulate(self, g * inside)
+                _accumulate(self, g * inside, owned=True)
 
         return Tensor._from_op(out_data, (self,), backward, "clamp")
 
@@ -350,7 +366,8 @@ def relu(x: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
-            _accumulate(x, g * mask)
+            np.multiply(g, mask, out=g)
+            _accumulate(x, g, owned=True)
 
     return Tensor._from_op(np.maximum(x.data, 0.0), (x,), backward, "relu")
 
@@ -370,11 +387,11 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
-            _accumulate(x, g @ weight.data)
+            _accumulate(x, g @ weight.data, owned=True)
         if weight.requires_grad:
-            _accumulate(weight, g.T @ x.data)
+            _accumulate(weight, g.T @ x.data, owned=True)
         if bias.requires_grad:
-            _accumulate(bias, g.sum(axis=0))
+            _accumulate(bias, g.sum(axis=0), owned=True)
 
     return Tensor._from_op(out_data, (x, weight, bias), backward, "dense")
 
@@ -420,10 +437,10 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, pad: int = 
     def backward(g: np.ndarray) -> None:
         g2 = g.reshape(n, o, ho * wo)
         if bias.requires_grad:
-            _accumulate(bias, g.sum(axis=(0, 2, 3)))
+            _accumulate(bias, g.sum(axis=(0, 2, 3)), owned=True)
         if kernel.requires_grad:
             dk = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0)
-            _accumulate(kernel, dk.reshape(kernel.shape))
+            _accumulate(kernel, dk.reshape(kernel.shape), owned=True)
         if x.requires_grad:
             dcols = np.matmul(kmat.T, g2).reshape(n, c, kh, kw, ho, wo)
             dxp = np.zeros_like(xp)
@@ -432,7 +449,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, pad: int = 
                     dxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols[
                         :, :, i, j
                     ]
-            _accumulate(x, dxp[:, :, pad : pad + h, pad : pad + w])
+            # with pad > 0 the slice is strided, and _accumulate copies it
+            _accumulate(x, dxp[:, :, pad : pad + h, pad : pad + w], owned=True)
 
     return Tensor._from_op(out_data, (x, kernel, bias), backward, "conv2d")
 
@@ -511,14 +529,16 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor, pad: int = 0) -> Tensor:
             dk = np.empty((rows, kh * kw))
             for r, taps in _tap_blocks(flat_x, offsets, ho * wp):
                 np.matmul(taps, flat_g[r, :, None], out=dk[r, :, None])
-            _accumulate(kernel, dk.reshape(n, c, kh, kw).sum(axis=0))
+            _accumulate(kernel, dk.reshape(n, c, kh, kw).sum(axis=0), owned=True)
         if x.requires_grad:
             # a contiguous copy: matmul over the reversed view ran 2.5x slower
             flipped = np.ascontiguousarray(row_kernel[:, ::-1])
-            dx = np.empty((rows, h * wp))
+            # each block's product is still in cache when its w of every wp
+            # columns are copied out, so dx is contiguous and can be handed over
+            dx = np.empty((rows, h, w))
             for r, taps in _tap_blocks(g_wide[:, pad * wp :], offsets, h * wp):
-                np.matmul(flipped[r, None, :], taps, out=dx[r, None, :])
-            _accumulate(x, dx.reshape(n, c, h, wp)[:, :, :, pad : pad + w])
+                dx[r] = np.matmul(flipped[r, None, :], taps).reshape(-1, h, wp)[:, :, pad : pad + w]
+            _accumulate(x, dx.reshape(n, c, h, w), owned=True)
 
     return Tensor._from_op(out_data, (x, kernel), backward, "depthwise_conv2d")
 
@@ -543,13 +563,13 @@ def pointwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     def backward(g: np.ndarray) -> None:
         g3 = g.reshape(n, o, h * w)
         if x.requires_grad:
-            _accumulate(x, np.matmul(weight.data.T, g3).reshape(n, c, h, w))
+            _accumulate(x, np.matmul(weight.data.T, g3).reshape(n, c, h, w), owned=True)
         if weight.requires_grad:
             # one [O, N*HW] @ [N*HW, C] product
             g2 = g3.transpose(1, 0, 2).reshape(o, -1)
-            _accumulate(weight, g2 @ x3.transpose(1, 0, 2).reshape(c, -1).T)
+            _accumulate(weight, g2 @ x3.transpose(1, 0, 2).reshape(c, -1).T, owned=True)
         if bias.requires_grad:
-            _accumulate(bias, g.sum(axis=(0, 2, 3)))
+            _accumulate(bias, g.sum(axis=(0, 2, 3)), owned=True)
 
     return Tensor._from_op(out.reshape(n, o, h, w), (x, weight, bias), backward, "pointwise_conv2d")
 
@@ -584,14 +604,14 @@ def avg_pool2(x: Tensor) -> Tensor:
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
             # every input of a window gets a quarter of the window's gradient;
-            # assigning one product to each quadrant took half the time of a
-            # broadcast multiply over the length-2 axes
-            quarter = g * 0.25
+            # assigning g to each quadrant took half the time of a broadcast
+            # multiply over the length-2 axes
+            g *= 0.25
             dx = np.empty((n, c, h // 2, 2, w // 2, 2))
             for i in (0, 1):
                 for j in (0, 1):
-                    dx[:, :, :, i, :, j] = quarter
-            _accumulate(x, dx.reshape(n, c, h, w))
+                    dx[:, :, :, i, :, j] = g
+            _accumulate(x, dx.reshape(n, c, h, w), owned=True)
 
     return Tensor._from_op(out_data, (x,), backward, "avg_pool2")
 
@@ -622,7 +642,7 @@ def softmax(x: Tensor) -> Tensor:
         if x.requires_grad:
             # dL/dx_i = y_i * (g_i - sum_j g_j y_j)
             dot = (g * y).sum(axis=1, keepdims=True)
-            _accumulate(x, y * (g - dot))
+            _accumulate(x, y * (g - dot), owned=True)
 
     return Tensor._from_op(y, (x,), backward, "softmax")
 
@@ -641,7 +661,7 @@ def l2_normalize(x: Tensor) -> Tensor:
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
             dot = (g * y).sum(axis=1, keepdims=True)
-            _accumulate(x, (g - y * dot) / norms)
+            _accumulate(x, (g - y * dot) / norms, owned=True)
 
     return Tensor._from_op(y, (x,), backward, "l2_normalize")
 

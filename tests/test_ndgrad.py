@@ -439,7 +439,7 @@ class TestExactGradients:
         np.testing.assert_array_equal(out.data, xv * (xv > 0))
         g = rng.standard_normal(xv.shape)
         (dx,) = grads_of(out, g, [x])
-        # + 0.0 as in _accumulate, which stores a fresh g + 0.0
+        # + 0.0 as in _accumulate, which stores a leaf's first gradient as g + 0.0
         np.testing.assert_array_equal(dx.view(np.int64), (g * (xv > 0) + 0.0).view(np.int64))
 
     def test_avg_pool_gradient_matches_broadcast_formula(self):
@@ -510,6 +510,42 @@ class TestBackwardSemantics:
             np.testing.assert_array_equal(p.grad, g)
             assert not np.shares_memory(p.grad, g)
         assert not np.shares_memory(a.grad, b.grad)
+
+    def test_relu_hands_its_gradient_to_an_interior_input(self):
+        # a closure owns the g it is passed: relu masks g in place and its
+        # interior input keeps g itself as .grad, with no copy
+        rng = np.random.default_rng(12)
+        x = t(rng.standard_normal((2, 3, 4, 4)))
+        h = x * 1.0
+        out = relu(h)
+        g = rng.standard_normal(out.shape)
+        expected = g * (h.data > 0)
+        out._backward(g)
+        assert np.shares_memory(h.grad, g)
+        np.testing.assert_array_equal(h.grad, expected)
+
+    def test_add_fans_one_gradient_out_to_two_in_place_consumers(self):
+        # add hands one g to both parents; each relu masks the g it receives
+        # in place, so a shared g would have one mask zero the other's gradient
+        rng = np.random.default_rng(13)
+        x = t(rng.uniform(-1.0, 1.0, (3, 4)))
+        w = Tensor(rng.uniform(-1.0, 1.0, (3, 4)))
+        fd_check(lambda: ((relu(x * 1.0) + relu(x * -1.0)) * w).sum(), [x])
+
+    @pytest.mark.parametrize("op", ["depthwise", "conv2d"])
+    def test_padded_conv_gives_an_interior_input_a_contiguous_gradient(self, op):
+        # the padded layouts' dx slices are strided; a reduction over a
+        # strided view can round differently from one over the copy that
+        # _accumulate used to store, so what an interior input keeps is contiguous
+        rng = np.random.default_rng(14)
+        x = t(rng.standard_normal((2, 3, 5, 6)))
+        h = x * 1.0
+        if op == "depthwise":
+            out = depthwise_conv2d(h, t(rng.standard_normal((3, 3, 3))), pad=1)
+        else:
+            out = conv2d(h, t(rng.standard_normal((4, 3, 3, 3))), t(np.zeros(4)), pad=1)
+        out._backward(rng.standard_normal(out.shape))
+        assert h.grad.flags.c_contiguous
 
     def test_same_tensor_as_both_parents(self):
         x = t([1.5, -2.0])
