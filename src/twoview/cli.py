@@ -255,7 +255,10 @@ def cmd_eval(cfg: dict[str, Any], out: Path) -> None:
     if cfg["shifted_test"] and cfg["split"] != "test":
         raise ConfigError(f"shifted_test corrupts only the test split, but split = {cfg['split']!r}")
     enc, cls, dataset = _load_model_and_data(
-        cfg, shifted_test=cfg["shifted_test"], shift_seed=derive_seed(cfg["seed"], "shifted-test")
+        cfg,
+        splits=(cfg["split"],),
+        shifted_test=cfg["shifted_test"],
+        shift_seed=derive_seed(cfg["seed"], "shifted-test"),
     )
     samples = dataset.split(cfg["split"])
     if not samples:

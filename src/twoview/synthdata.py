@@ -328,13 +328,21 @@ def save_dataset(dataset: DatasetSplit, directory) -> None:
         writer.writerows(rows)
 
 
-def load_dataset(directory, shifted_test: bool = False, shift_seed: int = 0) -> DatasetSplit:
+def load_dataset(
+    directory, shifted_test: bool = False, shift_seed: int = 0, splits: tuple[str, ...] = SPLIT_NAMES
+) -> DatasetSplit:
     """Rebuild a DatasetSplit from the save_dataset layout.
 
-    With shifted_test=True, every test image is pushed through the
-    corruption pipeline (one fixed RngStream address per test row), the
-    desk-scale stand-in for evaluating on a different source distribution.
+    Every index row is validated, but image and mask files are opened only
+    for rows of the named `splits`, so the other splits come back empty and
+    a damaged file in them goes unnoticed.  With shifted_test=True, every
+    test image is pushed through the corruption pipeline (one fixed
+    RngStream address per test row of the index), the desk-scale stand-in
+    for evaluating on a different source distribution.
     """
+    unknown = [name for name in splits if name not in SPLIT_NAMES]
+    if unknown:
+        raise ContractError(f"unknown splits {unknown}; expected names from {SPLIT_NAMES}")
     directory = Path(directory)
     index = directory / "index.csv"
     if not index.exists():
@@ -358,23 +366,24 @@ def load_dataset(directory, shifted_test: bool = False, shift_seed: int = 0) -> 
             raise DatasetError(f"{index}:{lineno}: unknown split {split_name!r}")
         if (label == 1) != bool(mask_file):
             raise DatasetError(f"{index}:{lineno}: fakes need a mask_file, reals must not have one")
-        try:
-            image = read_ppm(directory / fname)
-            mask = read_pgm(directory / mask_file) > 0.5 if mask_file else None
-        except ImageFileError as exc:
-            raise DatasetError(str(exc)) from exc
-        if first is None:
-            first = (fname, image.shape)
-        elif image.shape != first[1]:
-            raise DatasetError(
-                f"{index}:{lineno}: {directory / fname} has shape {image.shape}, "
-                f"but the first image, {first[0]}, has shape {first[1]}"
+        if split_name in splits:
+            try:
+                image = read_ppm(directory / fname)
+                mask = read_pgm(directory / mask_file) > 0.5 if mask_file else None
+            except ImageFileError as exc:
+                raise DatasetError(str(exc)) from exc
+            if first is None:
+                first = (fname, image.shape)
+            elif image.shape != first[1]:
+                raise DatasetError(
+                    f"{index}:{lineno}: {directory / fname} has shape {image.shape}, "
+                    f"but the first image, {first[0]}, has shape {first[1]}"
+                )
+            if split_name == "test" and shifted_test:
+                image = dfdc_selim(image, RngStream(shift_seed, 0, test_row, 0))
+            dataset.split(split_name).append(
+                Sample(image=image, label=label, mask=mask, source_id=Path(fname).stem)
             )
-        if split_name == "test" and shifted_test:
-            image = dfdc_selim(image, RngStream(shift_seed, 0, test_row, 0))
         if split_name == "test":
             test_row += 1
-        dataset.split(split_name).append(
-            Sample(image=image, label=label, mask=mask, source_id=Path(fname).stem)
-        )
     return dataset

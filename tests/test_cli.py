@@ -410,6 +410,25 @@ class TestEval:
         assert not np.array_equal(plain, shift_a)
         np.testing.assert_array_equal(shift_a, shift_b)
 
+    def test_reads_only_the_scored_split(self, run_dir, data_dir, tmp_path):
+        # with every train and val image and mask deleted, eval of the test
+        # split, plain or shifted, writes the same bytes as on the whole dataset
+        part = tmp_path / "test_only"
+        shutil.copytree(data_dir, part)
+        rows = [line.split(",") for line in (part / "index.csv").read_text().splitlines()[1:]]
+        deleted = [name for file, _, split, mask in rows if split != "test" for name in (file, mask) if name]
+        for name in deleted:
+            (part / name).unlink()
+        assert deleted
+        for extra in ((), ("--shifted-test",)):
+            outs = []
+            for data in (data_dir, part):
+                out = tmp_path / f"{data.name}{len(extra)}"
+                assert run_cli("eval", "--checkpoint", run_dir / "model.ckpt", "--data", data,
+                               "--out", out, *extra) == 0
+                outs.append([(out / name).read_bytes() for name in ("report.txt", "scores.csv")])
+            assert outs[0] == outs[1], extra
+
     @pytest.mark.parametrize("split", ["train", "val"])
     def test_shifted_test_off_the_test_split_is_usage_error(self, run_dir, data_dir, tmp_path,
                                                             split, capsys):

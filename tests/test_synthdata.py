@@ -324,6 +324,35 @@ class TestSaveLoad:
         for sa, sb in zip(a.test, b.test):
             assert np.array_equal(sa.image, sb.image)
 
+    def test_shifted_test_split_alone_loads_bitwise(self, tmp_path):
+        ds = gen_dataset(n_real=10, ratio=1, seed=2)
+        save_dataset(ds, tmp_path)
+        whole = load_dataset(tmp_path, shifted_test=True, shift_seed=4)
+        alone = load_dataset(tmp_path, shifted_test=True, shift_seed=4, splits=("test",))
+        assert alone.train == [] and alone.val == []
+        assert len(alone.test) == len(whole.test) > 0
+        for a, b in zip(whole.test, alone.test):
+            assert a.image.view(np.int64).tobytes() == b.image.view(np.int64).tobytes()
+            assert (a.mask is None) == (b.mask is None)
+            assert a.mask is None or np.array_equal(a.mask, b.mask)
+            assert (a.label, a.source_id) == (b.label, b.source_id)
+
+    def test_splits_left_out_are_not_opened(self, tmp_path):
+        # rows of other splits are still validated, but their files are not read
+        (tmp_path / "index.csv").write_text(
+            "file,label,split,mask_file\ngone.ppm,0,train,\n"
+        )
+        assert load_dataset(tmp_path, splits=("val", "test")).train == []
+        (tmp_path / "index.csv").write_text(
+            "file,label,split,mask_file\ngone.ppm,2,train,\n"
+        )
+        with pytest.raises(DatasetError, match="label"):
+            load_dataset(tmp_path, splits=("test",))
+
+    def test_unknown_split_name_rejected(self, tmp_path):
+        with pytest.raises(ContractError, match="dev"):
+            load_dataset(tmp_path, splits=("dev",))
+
     def test_missing_index(self, tmp_path):
         with pytest.raises(DatasetError, match="index.csv"):
             load_dataset(tmp_path / "nowhere")
