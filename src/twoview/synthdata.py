@@ -366,24 +366,25 @@ def load_dataset(
             raise DatasetError(f"{index}:{lineno}: unknown split {split_name!r}")
         if (label == 1) != bool(mask_file):
             raise DatasetError(f"{index}:{lineno}: fakes need a mask_file, reals must not have one")
-        if split_name in splits:
-            try:
-                image = read_ppm(directory / fname)
-                mask = read_pgm(directory / mask_file) > 0.5 if mask_file else None
-            except ImageFileError as exc:
-                raise DatasetError(str(exc)) from exc
-            if first is None:
-                first = (fname, image.shape)
-            elif image.shape != first[1]:
-                raise DatasetError(
-                    f"{index}:{lineno}: {directory / fname} has shape {image.shape}, "
-                    f"but the first image, {first[0]}, has shape {first[1]}"
-                )
-            if split_name == "test" and shifted_test:
-                image = dfdc_selim(image, RngStream(shift_seed, 0, test_row, 0))
-            dataset.split(split_name).append(
-                Sample(image=image, label=label, mask=mask, source_id=Path(fname).stem)
+        if split_name not in splits:
+            continue
+        try:
+            image = read_ppm(directory / fname)
+            mask = read_pgm(directory / mask_file) > 0.5 if mask_file else None
+        except ImageFileError as exc:
+            raise DatasetError(str(exc)) from exc
+        if first is None:
+            first = (fname, image.shape)
+        elif image.shape != first[1]:
+            raise DatasetError(
+                f"{index}:{lineno}: {directory / fname} has shape {image.shape}, "
+                f"but the first image, {first[0]}, has shape {first[1]}"
             )
+        if split_name == "test" and shifted_test:
+            image = dfdc_selim(image, RngStream(shift_seed, 0, test_row, 0))
         if split_name == "test":
             test_row += 1
+        dataset.split(split_name).append(
+            Sample(image=image, label=label, mask=mask, source_id=Path(fname).stem)
+        )
     return dataset
