@@ -24,7 +24,7 @@ from .losses import PENALTY_KINDS
 from .metrics import MetricUndefinedError, compute_report, write_scores_csv
 from .model import ModelConfig, cam, detach, encoder_forward
 from .ndgrad import ContractError, DegenerateVectorError, ShapeError, Tensor, _keep_freed_memory
-from .synthdata import SPLIT_NAMES, DatasetError, gen_dataset, load_dataset, save_dataset
+from .synthdata import SPLIT_NAMES, DatasetError, gen_dataset, load_dataset, save_dataset, shift_split
 from .trainer import (
     CheckpointError,
     TrainConfig,
@@ -71,6 +71,8 @@ class _Key:
     choices: tuple | None = None
 
 
+_TRAIN = TrainConfig()  # `twoview train` takes the library's defaults
+
 _SCHEMAS: dict[str, dict[str, _Key]] = {
     "gen-data": {
         "seed": _Key(_parse_seed, 0),
@@ -82,18 +84,18 @@ _SCHEMAS: dict[str, dict[str, _Key]] = {
         "split_test": _Key(float, 0.15),
     },
     "train": {
-        "seed": _Key(_parse_seed, 0),
+        "seed": _Key(_parse_seed, _TRAIN.seed),
         "data": _Key(str),
-        "alpha": _Key(float, 1.0),
-        "penalty": _Key(str, "cos", PENALTY_KINDS),
-        "aug": _Key(str, "raaug", STRATEGY_KINDS),
-        "pairs_per_batch": _Key(int, 32),
-        "epochs": _Key(int, 30),
-        "patience": _Key(int, 5),
-        "lr": _Key(float, 2e-4),
-        "w_real": _Key(float, 4.0),
-        "w_fake": _Key(float, 1.0),
-        "channels": _Key(_parse_channels, "16,32,64,128"),
+        "alpha": _Key(float, _TRAIN.alpha),
+        "penalty": _Key(str, _TRAIN.penalty, PENALTY_KINDS),
+        "aug": _Key(str, _TRAIN.aug, STRATEGY_KINDS),
+        "pairs_per_batch": _Key(int, _TRAIN.pairs_per_batch),
+        "epochs": _Key(int, _TRAIN.max_epochs),
+        "patience": _Key(int, _TRAIN.patience),
+        "lr": _Key(float, _TRAIN.lr),
+        "w_real": _Key(float, _TRAIN.w_real),
+        "w_fake": _Key(float, _TRAIN.w_fake),
+        "channels": _Key(_parse_channels, ",".join(map(str, _TRAIN.model.channels))),
     },
     "eval": {
         "seed": _Key(_parse_seed, 0),
@@ -234,12 +236,12 @@ def cmd_train(cfg: dict[str, Any], out: Path) -> None:
     print(f"best epoch {ckpt.epoch} (val_auc {ckpt.best_val_auc:.4f}) -> {out / 'model.ckpt'}")
 
 
-def _load_model_and_data(cfg: dict[str, Any], **dataset_options) -> tuple:
-    """(enc, cls, dataset) for `cfg`'s checkpoint and data, whose images
-    must be of the size that the checkpoint's model takes."""
+def _load_model_and_data(cfg: dict[str, Any], splits: tuple[str, ...] = SPLIT_NAMES) -> tuple:
+    """(enc, cls, dataset) for `cfg`'s checkpoint and the `splits` of its
+    data, whose images must be of the size that the checkpoint's model takes."""
     ckpt = load_checkpoint(cfg["checkpoint"])
     enc, cls = params_from_checkpoint(ckpt)
-    dataset = load_dataset(cfg["data"], **dataset_options)
+    dataset = load_dataset(cfg["data"], splits)
     side = ckpt.config.input_size
     # load_dataset has checked that every image has the first one's shape
     first = next((s for name in SPLIT_NAMES for s in dataset.split(name)), None)
@@ -254,15 +256,12 @@ def _load_model_and_data(cfg: dict[str, Any], **dataset_options) -> tuple:
 def cmd_eval(cfg: dict[str, Any], out: Path) -> None:
     if cfg["shifted_test"] and cfg["split"] != "test":
         raise ConfigError(f"shifted_test corrupts only the test split, but split = {cfg['split']!r}")
-    enc, cls, dataset = _load_model_and_data(
-        cfg,
-        splits=(cfg["split"],),
-        shifted_test=cfg["shifted_test"],
-        shift_seed=derive_seed(cfg["seed"], "shifted-test"),
-    )
+    enc, cls, dataset = _load_model_and_data(cfg, (cfg["split"],))
     samples = dataset.split(cfg["split"])
     if not samples:
         raise DatasetError(f"split {cfg['split']!r} is empty in {cfg['data']}")
+    if cfg["shifted_test"]:
+        shift_split(samples, derive_seed(cfg["seed"], "shifted-test"))
     scored = score_samples(enc, cls, samples)
     report = compute_report(scored)
     (out / "report.txt").write_text(report.to_text())

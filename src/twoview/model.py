@@ -56,10 +56,6 @@ class ModelConfig:
     def d(self) -> int:
         return self.channels[-1]
 
-    @property
-    def map_size(self) -> int:
-        return self.input_size // (2**self.n_stages)
-
 
 # A model's trainable state: param_shapes names -> tensors.  The encoder's
 # mapping holds the encoder/... entries, the classifier's the classifier/... ones.

@@ -18,7 +18,7 @@ PPM (P6), tamper masks as binary PGM (P5).  Images are quantized to the
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -328,17 +328,14 @@ def save_dataset(dataset: DatasetSplit, directory) -> None:
         writer.writerows(rows)
 
 
-def load_dataset(
-    directory, shifted_test: bool = False, shift_seed: int = 0, splits: tuple[str, ...] = SPLIT_NAMES
-) -> DatasetSplit:
-    """Rebuild a DatasetSplit from the save_dataset layout.
+def load_dataset(directory, splits: tuple[str, ...] = SPLIT_NAMES) -> DatasetSplit:
+    """Rebuild a DatasetSplit from the save_dataset layout, images as saved.
 
     Every index row is validated, but image and mask files are opened only
     for rows of the named `splits`, so the other splits come back empty and
-    a damaged file in them goes unnoticed.  With shifted_test=True, every
-    test image is pushed through the corruption pipeline (one fixed
-    RngStream address per test row of the index), the desk-scale stand-in
-    for evaluating on a different source distribution.
+    a damaged file in them goes unnoticed.  Each split keeps the index's row
+    order; `twoview eval --shifted-test` corrupts the loaded test split with
+    shift_split.
     """
     unknown = [name for name in splits if name not in SPLIT_NAMES]
     if unknown:
@@ -353,7 +350,6 @@ def load_dataset(
         raise DatasetError(f"{index}: expected header file,label,split,mask_file")
 
     dataset = DatasetSplit()
-    test_row = 0
     first = None  # (file, shape) of the first image
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != 4:
@@ -380,11 +376,19 @@ def load_dataset(
                 f"{index}:{lineno}: {directory / fname} has shape {image.shape}, "
                 f"but the first image, {first[0]}, has shape {first[1]}"
             )
-        if split_name == "test" and shifted_test:
-            image = dfdc_selim(image, RngStream(shift_seed, 0, test_row, 0))
-        if split_name == "test":
-            test_row += 1
         dataset.split(split_name).append(
             Sample(image=image, label=label, mask=mask, source_id=Path(fname).stem)
         )
     return dataset
+
+
+def shift_split(samples: list[Sample], seed: int) -> None:
+    """Replace each entry of `samples`, in place, by a corrupted copy.
+
+    Entry i becomes a copy whose image went through the corruption pipeline
+    at RngStream(seed, 0, i, 0): the desk-scale stand-in for evaluating on a
+    different source distribution.  The Sample objects themselves are not
+    changed, so a caller that keeps the clean split passes a copy of the list.
+    """
+    for i, sample in enumerate(samples):
+        samples[i] = replace(sample, image=dfdc_selim(sample.image, RngStream(seed, 0, i, 0)))

@@ -5,6 +5,7 @@ asserted directly. Heavier fixtures (a generated dataset, one trained
 checkpoint) are module-scoped and shared.
 """
 
+import inspect
 import shutil
 
 import numpy as np
@@ -19,9 +20,10 @@ from twoview.cli import (
     main,
     resolve_config,
 )
+from twoview.augment import derive_seed
 from twoview.imgops import read_pgm, read_ppm, write_ppm
-from twoview.synthdata import gen_dataset, load_dataset
-from twoview.trainer import load_checkpoint, params_from_checkpoint
+from twoview.synthdata import gen_dataset, load_dataset, shift_split
+from twoview.trainer import TrainConfig, load_checkpoint, params_from_checkpoint, score_samples
 
 import oracles
 
@@ -170,6 +172,20 @@ class TestFlagsFromSchema:
             parsed = vars(_build_parser().parse_args([command]))
             assert set(parsed) == set(schema) | {"command", "config", "out"}
             assert all(parsed[key] is None for key in schema)
+
+    def test_defaults_are_the_library_defaults(self):
+        train, gen = _SCHEMAS["train"], _SCHEMAS["gen-data"]
+        lib = TrainConfig()
+        fields = {key: getattr(lib, "max_epochs" if key == "epochs" else key)
+                  for key in train if key not in ("data", "channels")}
+        assert {key: train[key].default for key in fields} == fields
+        assert len(fields) == 10
+        assert train["channels"].default == ",".join(map(str, lib.model.channels))
+        params = inspect.signature(gen_dataset).parameters
+        fracs = tuple(gen[f"split_{name}"].default for name in ("train", "val", "test"))
+        assert fracs == params["split_fracs"].default
+        for key in ("seed", "n_real", "ratio", "size"):
+            assert gen[key].default == params[key].default, key
 
     @pytest.mark.parametrize("command,key", _KEYS, ids=[f"{c}-{k}" for c, k in _KEYS])
     def test_flag_parses_like_config_line(self, command, key, tmp_path):
@@ -428,6 +444,20 @@ class TestEval:
                                "--out", out, *extra) == 0
                 outs.append([(out / name).read_bytes() for name in ("report.txt", "scores.csv")])
             assert outs[0] == outs[1], extra
+
+    def test_shifted_split_held_in_memory_scores_as_eval(self, run_dir, data_dir, tmp_path):
+        # generated images lie on the 8-bit grid, so the dataset held in
+        # memory is bitwise the one that eval reads back from data_dir
+        out = tmp_path / "shift"
+        assert run_cli("eval", "--checkpoint", run_dir / "model.ckpt", "--data", data_dir,
+                       "--out", out, "--shifted-test", "--seed", 7) == 0
+        _, scores, labels = oracles.read_scores_csv(out / "scores.csv")
+        test = list(gen_dataset(n_real=12, ratio=1, seed=3, size=32).test)
+        shift_split(test, derive_seed(7, "shifted-test"))
+        enc, cls = params_from_checkpoint(load_checkpoint(run_dir / "model.ckpt"))
+        scored = score_samples(enc, cls, test)
+        np.testing.assert_array_equal(scored.labels, labels)
+        assert scored.scores.tobytes() == scores.tobytes()
 
     @pytest.mark.parametrize("split", ["train", "val"])
     def test_shifted_test_off_the_test_split_is_usage_error(self, run_dir, data_dir, tmp_path,

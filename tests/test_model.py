@@ -37,7 +37,7 @@ def batch_of(n, config=TINY, seed=1):
 class TestModelConfig:
     def test_defaults(self):
         cfg = ModelConfig()
-        assert cfg.d == 128 and cfg.n_stages == 3 and cfg.map_size == 8
+        assert cfg.d == 128 and cfg.n_stages == 3 and cfg.input_size // 2**cfg.n_stages == 8
 
     def test_divisibility_enforced(self):
         with pytest.raises(ContractError):
@@ -69,7 +69,8 @@ class TestEncoder:
         enc, _ = tiny_model()
         reps, maps = encoder_forward(batch_of(5), enc)
         assert reps.shape == (5, TINY.d)
-        assert maps.shape == (5, TINY.d, TINY.map_size, TINY.map_size)
+        side = TINY.input_size // 2**TINY.n_stages
+        assert maps.shape == (5, TINY.d, side, side)
 
     def test_permutation_equivariance(self):
         enc, _ = tiny_model()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from twoview.augment import RngStream
+from twoview.augment import RngStream, dfdc_selim
 from twoview.imgops import write_ppm
 from twoview.metrics import ScoredSet, auc
 from twoview.ndgrad import ContractError
@@ -20,6 +20,7 @@ from twoview.synthdata import (
     gen_real,
     load_dataset,
     save_dataset,
+    shift_split,
 )
 
 
@@ -303,7 +304,8 @@ class TestSaveLoad:
         ds = gen_dataset(n_real=12, ratio=1, seed=2)
         save_dataset(ds, tmp_path)
         plain = load_dataset(tmp_path)
-        shifted = load_dataset(tmp_path, shifted_test=True, shift_seed=4)
+        shifted = load_dataset(tmp_path)
+        shift_split(shifted.test, 4)
         for a, b in zip(plain.train, shifted.train):
             assert np.array_equal(a.image, b.image)
         for a, b in zip(plain.val, shifted.val):
@@ -319,16 +321,19 @@ class TestSaveLoad:
     def test_shifted_test_deterministic(self, tmp_path):
         ds = gen_dataset(n_real=10, ratio=1, seed=2)
         save_dataset(ds, tmp_path)
-        a = load_dataset(tmp_path, shifted_test=True, shift_seed=4)
-        b = load_dataset(tmp_path, shifted_test=True, shift_seed=4)
+        a, b = load_dataset(tmp_path), load_dataset(tmp_path)
+        shift_split(a.test, 4)
+        shift_split(b.test, 4)
         for sa, sb in zip(a.test, b.test):
             assert np.array_equal(sa.image, sb.image)
 
     def test_shifted_test_split_alone_loads_bitwise(self, tmp_path):
         ds = gen_dataset(n_real=10, ratio=1, seed=2)
         save_dataset(ds, tmp_path)
-        whole = load_dataset(tmp_path, shifted_test=True, shift_seed=4)
-        alone = load_dataset(tmp_path, shifted_test=True, shift_seed=4, splits=("test",))
+        whole = load_dataset(tmp_path)
+        alone = load_dataset(tmp_path, splits=("test",))
+        shift_split(whole.test, 4)
+        shift_split(alone.test, 4)
         assert alone.train == [] and alone.val == []
         assert len(alone.test) == len(whole.test) > 0
         for a, b in zip(whole.test, alone.test):
@@ -336,6 +341,20 @@ class TestSaveLoad:
             assert (a.mask is None) == (b.mask is None)
             assert a.mask is None or np.array_equal(a.mask, b.mask)
             assert (a.label, a.source_id) == (b.label, b.source_id)
+
+    def test_shift_split_replaces_entries_and_keeps_the_originals(self):
+        ds = gen_dataset(n_real=10, ratio=1, seed=2)
+        clean = list(ds.test)
+        images = [s.image.copy() for s in clean]
+        shifted = list(clean)
+        assert shift_split(shifted, 4) is None
+        assert len(shifted) == len(clean)
+        for i, (old, new) in enumerate(zip(clean, shifted)):
+            assert new is not old
+            assert np.array_equal(old.image, images[i])
+            want = dfdc_selim(images[i], RngStream(4, 0, i, 0))
+            assert new.image.tobytes() == want.tobytes()
+            assert (new.label, new.source_id) == (old.label, old.source_id) and new.mask is old.mask
 
     def test_splits_left_out_are_not_opened(self, tmp_path):
         # rows of other splits are still validated, but their files are not read
