@@ -432,7 +432,9 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, pad: int = 
     # [N, C*kh*kw, Ho*Wo] patch matrix; one matmul does the whole conv.
     cols = np.ascontiguousarray(windows).reshape(n, c * kh * kw, ho * wo)
     kmat = kernel.data.reshape(o, c * kh * kw)
-    out_data = (kmat @ cols).reshape(n, o, ho, wo) + bias.data[None, :, None, None]
+    out = kmat @ cols
+    out += bias.data[:, None]
+    out_data = out.reshape(n, o, ho, wo)
 
     def backward(g: np.ndarray) -> None:
         g2 = g.reshape(n, o, ho * wo)
@@ -565,9 +567,9 @@ def pointwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         if x.requires_grad:
             _accumulate(x, np.matmul(weight.data.T, g3).reshape(n, c, h, w), owned=True)
         if weight.requires_grad:
-            # one [O, N*HW] @ [N*HW, C] product
-            g2 = g3.transpose(1, 0, 2).reshape(o, -1)
-            _accumulate(weight, g2 @ x3.transpose(1, 0, 2).reshape(c, -1).T, owned=True)
+            # one [O, HW] @ [HW, C] product per image, summed over the images;
+            # BLAS reads x's transposed view in place, so neither g nor x is copied
+            _accumulate(weight, np.matmul(g3, x3.transpose(0, 2, 1)).sum(axis=0), owned=True)
         if bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2, 3)), owned=True)
 
@@ -594,24 +596,19 @@ def avg_pool2(x: Tensor) -> Tensor:
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"avg_pool2 needs even spatial dims, got {h}x{w}")
-    # the window summed in row-major order, then scaled
+    # a window [[a, b], [c, d]] sums as (a + b) + (c + d), then is scaled:
+    # one strided pass adds the column pairs of every row, after which each
+    # window's two row sums are the contiguous halves of a [2, W/2] block
     xd = x.data
-    out_data = xd[:, :, 0::2, 0::2] + xd[:, :, 0::2, 1::2]
-    out_data += xd[:, :, 1::2, 0::2]
-    out_data += xd[:, :, 1::2, 1::2]
+    col_sums = (xd[:, :, :, 0::2] + xd[:, :, :, 1::2]).reshape(n, c, h // 2, 2, w // 2)
+    out_data = col_sums[:, :, :, 0] + col_sums[:, :, :, 1]
     out_data *= 0.25
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
-            # every input of a window gets a quarter of the window's gradient;
-            # assigning g to each quadrant took half the time of a broadcast
-            # multiply over the length-2 axes
+            # every input of a window gets a quarter of the window's gradient
             g *= 0.25
-            dx = np.empty((n, c, h // 2, 2, w // 2, 2))
-            for i in (0, 1):
-                for j in (0, 1):
-                    dx[:, :, :, i, :, j] = g
-            _accumulate(x, dx.reshape(n, c, h, w), owned=True)
+            _accumulate(x, np.repeat(np.repeat(g, 2, axis=3), 2, axis=2), owned=True)
 
     return Tensor._from_op(out_data, (x,), backward, "avg_pool2")
 

@@ -180,6 +180,11 @@ class TestForwardOracles:
         assert not x_cols.flags.c_contiguous
         assert oracles.rel_err(avg_pool2(Tensor(x_cols)).data, oracles.avg_pool2_ref(x)) < 1e-12
 
+    def test_avg_pool_at_stage_shape(self):
+        # stage 0's pool input at 8-64 channels: 16 images, 16 channels, 64 px
+        x = np.random.default_rng(16).uniform(-1, 1, (16, 16, 64, 64))
+        assert oracles.rel_err(avg_pool2(t(x)).data, oracles.avg_pool2_ref(x)) < 1e-12
+
     def test_avg_pool_constant(self):
         x = np.full((1, 2, 4, 4), 0.7)
         np.testing.assert_allclose(avg_pool2(t(x)).data, 0.7)
@@ -442,14 +447,26 @@ class TestExactGradients:
         # + 0.0 as in _accumulate, which stores a leaf's first gradient as g + 0.0
         np.testing.assert_array_equal(dx.view(np.int64), (g * (xv > 0) + 0.0).view(np.int64))
 
-    def test_avg_pool_gradient_matches_broadcast_formula(self):
+    # the last shape is stage 0's pool input at 8-64 channels
+    @pytest.mark.parametrize("shape", [(2, 3, 6, 4), (16, 16, 64, 64)], ids=["small", "stage0"])
+    def test_avg_pool_gradient_matches_broadcast_formula(self, shape):
+        n, c, h, w = shape
         rng = np.random.default_rng(8)
-        x = t(rng.standard_normal((2, 3, 6, 4)))
-        g = rng.standard_normal((2, 3, 3, 2))
+        x = t(rng.standard_normal(shape))
+        g = rng.standard_normal((n, c, h // 2, w // 2))
         (dx,) = grads_of(avg_pool2(x), g, [x])
-        expected = np.empty((2, 3, 3, 2, 2, 2))
+        expected = np.empty((n, c, h // 2, 2, w // 2, 2))
         np.multiply(g[:, :, :, None, :, None], 0.25, out=expected)
-        np.testing.assert_array_equal(dx.view(np.int64), (expected.reshape(2, 3, 6, 4) + 0.0).view(np.int64))
+        np.testing.assert_array_equal(dx.view(np.int64), (expected.reshape(shape) + 0.0).view(np.int64))
+
+    def test_pointwise_weight_gradient_at_stage_shape(self):
+        # stage 0 at 8-64 channels: each entry sums 16 * 64 * 64 = 65536 terms
+        rng = np.random.default_rng(9)
+        x = t(rng.uniform(-1, 1, (16, 8, 64, 64)))
+        w, b = t(rng.uniform(-1, 1, (16, 8))), t(rng.uniform(-1, 1, 16))
+        g = rng.uniform(-1, 1, (16, 16, 64, 64))
+        (dw,) = grads_of(pointwise_conv2d(x, w, b), g, [w])
+        assert oracles.rel_err(dw, np.einsum("nohw,nchw->oc", g, x.data)) <= 1e-12
 
 
 class TestBackwardSemantics:

@@ -7,6 +7,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -613,6 +614,28 @@ print(faults)
         assert proc.returncode == 0, proc.stderr
         faults = ast.literal_eval(proc.stdout.strip())
         assert max(faults[2:]) < 100, faults  # the first two steps are warm-up
+
+    def test_step_live_memory_stays_below_92_mib(self):
+        # train-ref shapes: 8 pairs of 64 px images, channels 8-16-32-64.  The
+        # arrays alive at once peak at 87.6 MiB; transposed [C, N*HW] copies
+        # of the pointwise weight gradient's operands raise that to 97.5 MiB.
+        samples = gen_dataset(n_real=10, ratio=1, seed=0, size=64).train[:8]
+        pairs = [
+            make_pair(s.image, s.label, "raaug",
+                      RngStream(0, 1, i, 0), RngStream(0, 1, i, 1), source_id=s.source_id)
+            for i, s in enumerate(samples)
+        ]
+        config = TrainConfig(model=ModelConfig(input_size=64, channels=(8, 16, 32, 64)))
+        enc, cls = init_params(config.model, seed=0)
+        opt = Adam(named_parameters(enc, cls))
+        train_step(pairs, enc, cls, opt, config)  # warm-up
+        tracemalloc.start()
+        try:
+            train_step(pairs, enc, cls, opt, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 92 << 20, f"{peak / 2**20:.2f} MiB"
 
     def test_empty_batch(self):
         enc, cls = init_params(TINY_MODEL, seed=0)
