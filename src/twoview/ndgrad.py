@@ -199,7 +199,10 @@ class Tensor:
         is passed and may overwrite it, as relu and avg_pool2 do, or hand it
         to its input as that input's buffer.  Likewise a closure may hand an
         interior input an array it has just allocated, with owned=True,
-        instead of having ``_accumulate`` copy it.
+        instead of having ``_accumulate`` copy it.  Closures read their
+        inputs' ``.data`` rather than copies of it (conv2d and
+        depthwise_conv2d rebuild their padded inputs from it), so nothing
+        may write to a graph tensor's data before ``backward()`` runs.
         """
         if self.data.size != 1:
             raise ContractError(
@@ -403,6 +406,17 @@ def _conv_output_size(size: int, k: int, stride: int, pad: int) -> int:
     return out
 
 
+def _windows(xp: np.ndarray, kh: int, kw: int, ho: int, wo: int, stride: int) -> np.ndarray:
+    """Read-only view [..., kh, kw, Ho, Wo] of xp[..., H, W]: tap (i, j) of every output pixel."""
+    *lead, sh, sw = xp.strides
+    return np.lib.stride_tricks.as_strided(
+        xp,
+        shape=(*xp.shape[:-2], kh, kw, ho, wo),
+        strides=(*lead, sh, sw, sh * stride, sw * stride),
+        writeable=False,
+    )
+
+
 def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, pad: int = 0) -> Tensor:
     """Cross-correlation of x[N,C,H,W] with kernel[O,C,kh,kw], plus bias[O]."""
     if x.ndim != 4 or kernel.ndim != 4 or bias.ndim != 1:
@@ -422,15 +436,8 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, pad: int = 
     wo = _conv_output_size(w, kw, stride, pad)
 
     xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    sn, sc, sh, sw = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(n, c, kh, kw, ho, wo),
-        strides=(sn, sc, sh, sw, sh * stride, sw * stride),
-        writeable=False,
-    )
     # [N, C*kh*kw, Ho*Wo] patch matrix; one matmul does the whole conv.
-    cols = np.ascontiguousarray(windows).reshape(n, c * kh * kw, ho * wo)
+    cols = np.ascontiguousarray(_windows(xp, kh, kw, ho, wo, stride)).reshape(n, c * kh * kw, ho * wo)
     kmat = kernel.data.reshape(o, c * kh * kw)
     out = kmat @ cols
     out += bias.data[:, None]
@@ -441,11 +448,21 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, pad: int = 
         if bias.requires_grad:
             _accumulate(bias, g.sum(axis=(0, 2, 3)), owned=True)
         if kernel.requires_grad:
-            dk = np.matmul(g2, cols.transpose(0, 2, 1)).sum(axis=0)
-            _accumulate(kernel, dk.reshape(kernel.shape), owned=True)
+            # the patches are rebuilt from x.data one image at a time, in one
+            # zero-bordered buffer, so the forward's patch matrix is not kept;
+            # each image's product is the one the batched matmul made
+            xp_i = np.zeros((c, h + 2 * pad, w + 2 * pad))
+            windows_i = _windows(xp_i, kh, kw, ho, wo, stride)
+            patches = np.empty((c * kh * kw, ho * wo))
+            dk = np.empty((n, o, c * kh * kw))
+            for i in range(n):
+                xp_i[:, pad : pad + h, pad : pad + w] = x.data[i]
+                patches.reshape(windows_i.shape)[...] = windows_i
+                np.matmul(g2[i], patches.T, out=dk[i])
+            _accumulate(kernel, dk.sum(axis=0).reshape(kernel.shape), owned=True)
         if x.requires_grad:
             dcols = np.matmul(kmat.T, g2).reshape(n, c, kh, kw, ho, wo)
-            dxp = np.zeros_like(xp)
+            dxp = np.zeros((n, c, h + 2 * pad, w + 2 * pad))
             for i in range(kh):
                 for j in range(kw):
                     dxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols[
@@ -466,6 +483,11 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Tensor, stride: int = 1, pad: int = 
 _BLOCK_BYTES = 1 << 20
 
 
+def _block_rows(n_rows: int, n_taps: int, length: int) -> int:
+    """Rows per block of _tap_blocks, whose [rows, taps, length] buffer fits _BLOCK_BYTES."""
+    return min(n_rows, max(1, _BLOCK_BYTES // (8 * n_taps * length)))
+
+
 def _tap_blocks(src: np.ndarray, offsets, length: int):
     """Yield (rows, taps) with taps[r, t] = src[r, offsets[t] : offsets[t] + length].
 
@@ -475,8 +497,8 @@ def _tap_blocks(src: np.ndarray, offsets, length: int):
     the kernel gradient.  The taps buffer is reused from block to block.
     """
     n_rows = src.shape[0]
-    step = max(1, _BLOCK_BYTES // (8 * len(offsets) * length))
-    buf = np.empty((min(step, n_rows), len(offsets), length))
+    step = _block_rows(n_rows, len(offsets), length)
+    buf = np.empty((step, len(offsets), length))
     for r0 in range(0, n_rows, step):
         rows = slice(r0, min(r0 + step, n_rows))
         taps = buf[: rows.stop - r0]
@@ -485,16 +507,33 @@ def _tap_blocks(src: np.ndarray, offsets, length: int):
         yield rows, taps
 
 
+def _embed(dst: np.ndarray, src: np.ndarray, top: int, left: int) -> np.ndarray:
+    """Write src into dst at (top, left) of the last two axes; zero only the rest of dst."""
+    h, w = src.shape[-2:]
+    dst[..., :top, :] = 0.0
+    dst[..., top + h :, :] = 0.0
+    dst[..., top : top + h, :left] = 0.0
+    dst[..., top : top + h, left + w :] = 0.0
+    dst[..., top : top + h, left : left + w] = src
+    return dst
+
+
 def depthwise_conv2d(x: Tensor, kernel: Tensor, pad: int = 0) -> Tensor:
     """Per-channel cross-correlation: kernel[C,kh,kw] filters channel c of x alone.
 
     Each (sample, channel) plane of the padded input is one flat row at the
     padded stride wp, so tap (i, j) is the contiguous slice starting at
     i * wp + j.  The output is computed at stride wp too, and its last
-    kw - 1 columns, which wrap into the next padded row, are sliced off.
-    The input gradient is the same correlation with the taps flipped, run
-    over the output gradient at stride wp with the taps' reach of zeros on
-    either side.
+    kw - 1 columns, which wrap into the next padded row, are dropped.
+
+    Backward builds one tap matrix, of the output gradient at stride wp with
+    the taps' reach of zeros before it, read over the whole padded plane.
+    Since offsets[-1 - t] = reach - offsets[t], tap t of it is the gradient
+    shifted by the flipped tap, so it serves both gradients: the input
+    gradient is the flipped kernel times it, and the kernel gradient, in
+    flipped tap order, is it times the padded input.  That padded input is
+    rebuilt from x.data block by block, not kept from the forward pass, so
+    nothing may write to x.data before backward() runs.
     """
     if x.ndim != 4 or kernel.ndim != 3:
         raise ShapeError(
@@ -506,43 +545,47 @@ def depthwise_conv2d(x: Tensor, kernel: Tensor, pad: int = 0) -> Tensor:
         raise ShapeError(f"depthwise channel mismatch: input has {c}, kernel has {ck}")
     ho = _conv_output_size(h, kh, 1, pad)
     wo = _conv_output_size(w, kw, 1, pad)
-    wp = w + 2 * pad
+    hp, wp = h + 2 * pad, w + 2 * pad
     rows = n * c
     # the extra bottom row keeps the last tap's flat slice inside the plane
-    xp = np.zeros((n, c, h + 2 * pad + 1, wp))
-    xp[:, :, pad : pad + h, pad : pad + w] = x.data
-    flat_x = xp.reshape(rows, -1)
+    flat_x = _embed(np.empty((n, c, hp + 1, wp)), x.data, pad, pad).reshape(rows, -1)
     offsets = [i * wp + j for i in range(kh) for j in range(kw)]
     # row r of the flat layout is channel r % c
     row_kernel = np.tile(kernel.data.reshape(c, kh * kw), (n, 1))
 
-    out = np.empty((rows, ho * wp))
+    # each block's product is still in cache when its wo of every wp columns
+    # are copied out, so the output is compact without a second pass
+    out = np.empty((rows, ho, wo))
     for r, taps in _tap_blocks(flat_x, offsets, ho * wp):
-        np.matmul(row_kernel[r, None, :], taps, out=out[r, None, :])
-    out_data = np.ascontiguousarray(out.reshape(n, c, ho, wp)[:, :, :, :wo])
+        out[r] = np.matmul(row_kernel[r, None, :], taps).reshape(-1, ho, wp)[:, :, :wo]
 
     def backward(g: np.ndarray) -> None:
-        # g at stride wp, zero in the wrap columns, with `reach` zeros either side
-        reach = offsets[-1]
-        g_wide = np.zeros((rows, reach + ho * wp + reach))
-        flat_g = g_wide[:, reach : reach + ho * wp]
-        flat_g.reshape(rows, ho, wp)[:, :, :wo] = g.reshape(rows, ho, wo)
+        # g at stride wp, zero in the wrap columns, reach = offsets[-1] zeros
+        # before it; the plane's extra rows keep every tap slice inside it
+        g_wide = _embed(np.empty((rows, ho + 2 * kh, wp)), g.reshape(rows, ho, wo), kh - 1, kw - 1)
         if kernel.requires_grad:
             dk = np.empty((rows, kh * kw))
-            for r, taps in _tap_blocks(flat_x, offsets, ho * wp):
-                np.matmul(taps, flat_g[r, :, None], out=dk[r, :, None])
-            _accumulate(kernel, dk.reshape(n, c, kh, kw).sum(axis=0), owned=True)
+            x_rows = x.data.reshape(rows, h, w)
+            xp = np.zeros((_block_rows(rows, kh * kw, hp * wp), hp, wp))
         if x.requires_grad:
             # a contiguous copy: matmul over the reversed view ran 2.5x slower
             flipped = np.ascontiguousarray(row_kernel[:, ::-1])
-            # each block's product is still in cache when its w of every wp
-            # columns are copied out, so dx is contiguous and can be handed over
             dx = np.empty((rows, h, w))
-            for r, taps in _tap_blocks(g_wide[:, pad * wp :], offsets, h * wp):
-                dx[r] = np.matmul(flipped[r, None, :], taps).reshape(-1, h, wp)[:, :, pad : pad + w]
+        for r, taps in _tap_blocks(g_wide.reshape(rows, -1), offsets, hp * wp):
+            if kernel.requires_grad:
+                xp_r = xp[: len(taps)]
+                xp_r[:, pad : pad + h, pad : pad + w] = x_rows[r]
+                np.matmul(taps, xp_r.reshape(len(taps), -1, 1), out=dk[r, :, None])
+            if x.requires_grad:
+                # as in the forward pass, dx is copied out compact and handed over
+                dx[r] = np.matmul(flipped[r, None, :], taps).reshape(-1, hp, wp)[:, pad : pad + h, pad : pad + w]
+        if kernel.requires_grad:
+            dk = dk.reshape(n, c, kh * kw).sum(axis=0)[:, ::-1]
+            _accumulate(kernel, dk.reshape(c, kh, kw), owned=True)
+        if x.requires_grad:
             _accumulate(x, dx.reshape(n, c, h, w), owned=True)
 
-    return Tensor._from_op(out_data, (x, kernel), backward, "depthwise_conv2d")
+    return Tensor._from_op(out.reshape(n, c, ho, wo), (x, kernel), backward, "depthwise_conv2d")
 
 
 def pointwise_conv2d(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:

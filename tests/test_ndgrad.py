@@ -401,7 +401,10 @@ class TestExactGradients:
     """Gradient identities that hold to rounding, far tighter than fd_check."""
 
     # y = depthwise_conv2d(x, k) is linear in x and in k, so for any g the
-    # adjoint identities <y, g> = <x, dx> = <k, dk> hold exactly.
+    # adjoint identities <y, g> = <x, dx> = <k, dk> hold exactly.  dk is also
+    # checked against an einsum: backward reads one tap matrix in flipped tap
+    # order for it, which relies on offsets[-1 - t] = reach - offsets[t] and
+    # so on the kernel's shape and the pad.
     @pytest.mark.parametrize(
         "shape,kshape,pad",
         [
@@ -432,6 +435,40 @@ class TestExactGradients:
         y_g = np.vdot(y.data, g)
         assert abs(np.vdot(x.data, dx) - y_g) / abs(y_g) < 1e-12
         assert abs(np.vdot(k.data, dk) - y_g) / abs(y_g) < 1e-12
+        xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        windows = np.lib.stride_tricks.sliding_window_view(xp, kshape[1:], axis=(2, 3))
+        assert oracles.rel_err(dk, np.einsum("ncyx,ncyxij->cij", g, windows)) <= 1e-12
+
+    # conv2d keeps no patch matrix for backward: its kernel gradient rebuilds
+    # one image's patches at a time and must give the batched product's bits
+    @pytest.mark.parametrize(
+        "shape,stride,pad",
+        [
+            ((16, 3, 64, 64), 1, 1),  # the stem at train-ref
+            ((3, 3, 9, 8), 1, 0),
+            ((3, 3, 9, 8), 2, 0),
+            ((3, 3, 9, 8), 2, 1),
+        ],
+    )
+    def test_conv2d_matches_batched_patch_formula_bitwise(self, shape, stride, pad):
+        n, c, h, w = shape
+        rng = np.random.default_rng(16)
+        x = Tensor(rng.uniform(-1, 1, shape))
+        k, b = t(rng.uniform(-1, 1, (8, c, 3, 3))), t(rng.uniform(-1, 1, 8))
+        y = conv2d(x, k, b, stride=stride, pad=pad)
+        xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+        windows = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(2, 3))[:, :, ::stride, ::stride]
+        ho, wo = windows.shape[2:4]
+        cols = windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * 9, ho * wo)
+        out = k.data.reshape(8, c * 9) @ cols
+        out += b.data[:, None]
+        np.testing.assert_array_equal(y.data.view(np.int64), out.reshape(y.shape).view(np.int64))
+        g = rng.uniform(-1, 1, y.shape)
+        dk, db = grads_of(y, g, [k, b])
+        # + 0.0 as in _accumulate, which stores a leaf's first gradient as g + 0.0
+        dk_ref = np.matmul(g.reshape(n, 8, ho * wo), cols.transpose(0, 2, 1)).sum(axis=0) + 0.0
+        np.testing.assert_array_equal(dk.view(np.int64), dk_ref.reshape(k.shape).view(np.int64))
+        np.testing.assert_array_equal(db.view(np.int64), (g.sum(axis=(0, 2, 3)) + 0.0).view(np.int64))
 
     def test_relu_matches_mask_product(self):
         rng = np.random.default_rng(6)
