@@ -149,18 +149,18 @@ def _erase_rect(img, rect, gen):
     return out
 
 
-def _erase(img, gen, params: RectParams):
+def _erase(img, gen):
     """Fill one random rectangle with uniform noise; everything else is untouched."""
-    rect = _sample_rect(img.shape[0], img.shape[1], gen, params)
+    rect = _sample_rect(img.shape[0], img.shape[1], gen, ERASE)
     if rect is None:
         return img.copy()
     return _erase_rect(img, rect, gen)
 
 
-def _resized_crop(img, gen, params: RectParams):
+def _resized_crop(img, gen):
     """Crop a near-full-area rectangle and bilinearly resize it back."""
     h, w = img.shape[:2]
-    rect = _sample_rect(h, w, gen, params)
+    rect = _sample_rect(h, w, gen, CROP)
     if rect is None:
         return img.copy()
     top, left, ch, cw = rect
@@ -171,14 +171,14 @@ def _resized_crop(img, gen, params: RectParams):
 # -- composite strategies --------------------------------------------------------
 
 
-def _ra_aug(img, gen, erase: RectParams, crop: RectParams):
+def _ra_aug(img, gen):
     """Uniformly one of: identity, random erasing, random resized crop."""
     u = gen.random()
     if u < 1.0 / 3.0:
         return img.copy()
     if u < 2.0 / 3.0:
-        return _erase(img, gen, erase)
-    return _resized_crop(img, gen, crop)
+        return _erase(img, gen)
+    return _resized_crop(img, gen)
 
 
 def _dfdc_selim_impl(img, gen, params: CorruptParams):
@@ -225,11 +225,11 @@ def apply_augment(img: np.ndarray, kind: str, rng: RngStream) -> np.ndarray:
     if kind == "none":
         return img.copy()
     if kind == "re":
-        return _erase(img, gen, ERASE)
+        return _erase(img, gen)
     if kind == "randcrop":
-        return _resized_crop(img, gen, CROP)
+        return _resized_crop(img, gen)
     if kind == "raaug":
-        return _ra_aug(img, gen, ERASE, CROP)
+        return _ra_aug(img, gen)
     return _dfdc_selim_impl(img, gen, CORRUPT)
 
 

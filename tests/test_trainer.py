@@ -39,7 +39,6 @@ from twoview.trainer import (
     evaluate,
     fnv1a,
     load_checkpoint,
-    optimizer_from_checkpoint,
     params_from_checkpoint,
     save_checkpoint,
     score_samples,
@@ -199,34 +198,31 @@ class TestEarlyStopper:
     def test_patience_counting_rule(self):
         stopper = EarlyStopper(patience=5)
         values = [0.9, 0.89, 0.89, 0.89, 0.89, 0.89]
-        stops_after = None
-        for epoch, v in enumerate(values, start=1):
-            stopper.update(epoch, v)
+        improved = []
+        for v in values:
+            improved.append(stopper.update(v))
             if stopper.should_stop:
-                stops_after = epoch
                 break
-        assert stops_after == 6
-        assert stopper.best_epoch == 1
+        assert improved == [True] + [False] * 5  # stops after epoch 6; the best is epoch 1
         assert stopper.best == 0.9
 
     def test_strict_improvement(self):
         stopper = EarlyStopper(patience=2)
-        assert stopper.update(1, 0.5)
-        assert not stopper.update(2, 0.5)  # a tie is not a gain
-        assert not stopper.update(3, 0.5)
+        assert stopper.update(0.5)
+        assert not stopper.update(0.5)  # a tie is not a gain
+        assert not stopper.update(0.5)
         assert stopper.should_stop
 
     def test_counter_resets_on_improvement(self):
         stopper = EarlyStopper(patience=3)
-        for epoch, v in enumerate([0.5, 0.4, 0.4, 0.6, 0.5, 0.5], start=1):
-            stopper.update(epoch, v)
+        improved = [stopper.update(v) for v in [0.5, 0.4, 0.4, 0.6, 0.5, 0.5]]
         assert not stopper.should_stop
-        assert stopper.best_epoch == 4
+        assert improved == [True, False, False, True, False, False]  # the best epoch is 4
 
     def test_monotone_never_stops(self):
         stopper = EarlyStopper(patience=1)
         for epoch in range(1, 31):
-            stopper.update(epoch, epoch / 31.0)
+            assert stopper.update(epoch / 31.0)
             assert not stopper.should_stop
 
     def test_patience_contract(self):
@@ -298,18 +294,6 @@ class TestCheckpointRoundTrip:
         assert all(p.requires_grad for p in names.values())
         names["classifier/bias"].data += 1.0
         assert not np.array_equal(names["classifier/bias"].data, back.params["classifier/bias"])
-
-    def test_optimizer_restore(self, tmp_path):
-        ckpt = random_checkpoint(2)
-        save_checkpoint(tmp_path / "c.ckpt", ckpt)
-        back = load_checkpoint(tmp_path / "c.ckpt")
-        enc, cls = params_from_checkpoint(back)
-        opt = optimizer_from_checkpoint(back, named_parameters(enc, cls))
-        assert opt.t == ckpt.adam_t
-        assert opt.lr == ckpt.lr
-        for name in ckpt.adam_m:
-            assert np.array_equal(opt.m[name], ckpt.adam_m[name])
-            assert np.array_equal(opt.v[name], ckpt.adam_v[name])
 
 
 class TestCheckpointCorruption:

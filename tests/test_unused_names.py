@@ -1,14 +1,23 @@
-"""Every top-level name, method and property of the package has a use
-outside tests.
+"""Every top-level name, method, attribute and dataclass field of the package
+has a use outside tests.
 
 A name that only tests reference is a second code path kept alive for the
-tests alone.  The scan is by name, not by binding: a `def`, `class` or
-assigned name at the top of a `src/twoview` module, or a `def` in one of its
-class bodies, counts as used when some file under `src/`, `bench/` or
-`demos/` mentions it outside its own definition, as a name, an attribute, an
-import, or a string constant (the benchmark's tracer patches functions by
-their names as strings).  Dunder methods are left out, since Python calls
-them implicitly, and so are dataclass fields, which callers set by keyword.
+tests alone.  The scan checks:
+- each `def`, `class` or assigned name at the top of a `src/twoview` module;
+- each non-dunder `def` in one of its class bodies;
+- each non-dunder name assigned in such a class body (class attributes and
+  dataclass fields) or through `self.x = ...` in its methods.
+
+Each counts as used when some file under `src/`, `bench/` or `demos/` reads
+it outside its own definition: as a loaded name or attribute, an import, or
+a string constant (the benchmark's tracer patches functions by their names
+as strings, and `trainer._SCALARS` names `Checkpoint` fields).  An
+assignment to an attribute is not a read, and neither is a name listed in
+`__slots__`.
+
+The scan is by name, not by binding, so a name that some other object
+shares can hide: `Tensor.size` went unflagged for as long as it lived
+because numpy arrays have a `.size` that the package reads.
 """
 
 import ast
@@ -17,46 +26,78 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "twoview"
 
-# reserved for resuming a run from a checkpoint (ROADMAP item 5)
-ALLOWED_UNUSED = {"trainer.optimizer_from_checkpoint"}
+
+def is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def assigned_names(node):
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    for target in targets:
+        for name in ast.walk(target):
+            if isinstance(name, ast.Name):
+                yield name.id
+
+
+def class_members(cls: ast.ClassDef):
+    """(qualified name, name, node) for each non-dunder method, class-body
+    name and `self.x` attribute of `cls`; an attribute assigned in several
+    places is defined by its first assignment."""
+    attributes = {}
+    for member in cls.body:
+        if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not is_dunder(member.name):
+                yield f"{cls.name}.{member.name}", member.name, member
+            for node in ast.walk(member):
+                if (
+                    isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "self"
+                ):
+                    attributes.setdefault(node.attr, node)
+        elif isinstance(member, (ast.Assign, ast.AnnAssign)):
+            for name in assigned_names(member):
+                attributes.setdefault(name, member)
+    for name, node in attributes.items():
+        if not is_dunder(name):
+            yield f"{cls.name}.{name}", name, node
 
 
 def top_level_definitions(tree: ast.Module):
     """(qualified name, name, node) for each top-level def, class and
-    assigned name, and each non-dunder def in a top-level class body."""
+    assigned name, and each member `class_members` finds in a top-level class."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name, node.name, node
         if isinstance(node, ast.ClassDef):
-            for member in node.body:
-                if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
-                    member.name.startswith("__") and member.name.endswith("__")
-                ):
-                    yield f"{node.name}.{member.name}", member.name, member
+            yield from class_members(node)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for target in targets:
-                for name in ast.walk(target):
-                    if isinstance(name, ast.Name):
-                        yield name.id, name.id, node
+            for name in assigned_names(node):
+                yield name, name, node
 
 
 def references(tree: ast.AST):
-    """(identifier, line) for each name, attribute, import alias and string constant."""
+    """(identifier, line) for each loaded name and attribute, import alias and
+    string constant, leaving out the names a `__slots__` lists."""
+    slots = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and "__slots__" in assigned_names(node):
+            slots.update(id(sub) for sub in ast.walk(node))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id, node.lineno
-        elif isinstance(node, ast.Attribute):
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             yield node.attr, node.lineno
         elif isinstance(node, ast.alias):
             yield node.name.rsplit(".", 1)[-1], node.lineno
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in slots:
             yield node.value, node.lineno
 
 
 def unused_names(package: Path, roots) -> list[str]:
-    """`module.name` for each top-level name, and `module.Class.method` for
-    each method, of `package` that no file under `roots` uses."""
+    """`module.name` for each top-level name, and `module.Class.member` for
+    each class member, of `package` that no file under `roots` reads."""
     trees = {path: ast.parse(path.read_text(), str(path)) for root in roots for path in sorted(root.rglob("*.py"))}
     refs = {path: list(references(tree)) for path, tree in trees.items()}
     unused = []
@@ -73,9 +114,7 @@ def unused_names(package: Path, roots) -> list[str]:
 
 
 def test_every_package_name_is_used_outside_tests():
-    unused = unused_names(PACKAGE, [ROOT / "src", ROOT / "bench", ROOT / "demos"])
-    # an allowed name that gains a use leaves the list too
-    assert unused == sorted(ALLOWED_UNUSED)
+    assert unused_names(PACKAGE, [ROOT / "src", ROOT / "bench", ROOT / "demos"]) == []
 
 
 def test_scan_reports_an_unused_def(tmp_path):
@@ -103,3 +142,23 @@ def test_scan_reports_an_unused_method(tmp_path):
     assert unused_names(package, [tmp_path / "src"]) == ["mod.Box.orphan"]
     (package / "mod.py").write_text((package / "mod.py").read_text().replace("return self.orphan_prop", "return 2"))
     assert unused_names(package, [tmp_path / "src"]) == ["mod.Box.orphan_prop", "mod.Box.orphan"]
+
+
+def test_scan_reports_unread_attributes_and_fields(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        "from dataclasses import dataclass\n\n\n"
+        "@dataclass\nclass Record:\n"
+        "    read: int\n    by_string: int\n    orphan_field: int\n\n\n"
+        "class Stopper:\n"
+        "    __slots__ = ('best', 'orphan_slot')\n\n"
+        "    def __init__(self):\n"
+        "        self.best = 0\n        self.orphan_slot = 0\n\n"
+        "    def update(self, value):\n"
+        "        self.best = max(self.best, value)\n\n\n"
+        "r = Record(1, 2, 3)\n"
+        "print(r.read, getattr(r, 'by_string'), Stopper().update(1))\n"
+    )
+    # written by keyword and by `self.x =` only: a store is not a read
+    assert unused_names(package, [tmp_path / "src"]) == ["mod.Record.orphan_field", "mod.Stopper.orphan_slot"]
