@@ -202,13 +202,13 @@ def cmd_gen_data(cfg: dict[str, Any], out: Path) -> None:
 
 def _model_config_for(cfg: dict[str, Any], dataset) -> ModelConfig:
     _require_both_classes(dataset.train, "train")
-    input_size = dataset.train[0].image.shape[0]
+    input_size = dataset.train[0].shape[0]
     channels = tuple(int(p) for p in cfg["channels"].split(","))
     return ModelConfig(input_size=input_size, channels=channels)
 
 
 def cmd_train(cfg: dict[str, Any], out: Path) -> None:
-    dataset = load_dataset(cfg["data"])
+    dataset = load_dataset(cfg["data"], ("train", "val"))  # train() reads no other split
     tc = TrainConfig(
         pairs_per_batch=cfg["pairs_per_batch"],
         max_epochs=cfg["epochs"],
@@ -236,17 +236,18 @@ def cmd_train(cfg: dict[str, Any], out: Path) -> None:
     print(f"best epoch {ckpt.epoch} (val_auc {ckpt.best_val_auc:.4f}) -> {out / 'model.ckpt'}")
 
 
-def _load_model_and_data(cfg: dict[str, Any], splits: tuple[str, ...] = SPLIT_NAMES) -> tuple:
-    """(enc, cls, dataset) for `cfg`'s checkpoint and the `splits` of its
-    data, whose images must be of the size that the checkpoint's model takes."""
+def _load_model_and_data(cfg: dict[str, Any], **rows) -> tuple:
+    """(enc, cls, dataset) for `cfg`'s checkpoint and the rows of its data
+    that load_dataset's `rows` keywords select, whose images must be of the
+    size that the checkpoint's model takes."""
     ckpt = load_checkpoint(cfg["checkpoint"])
     enc, cls = params_from_checkpoint(ckpt)
-    dataset = load_dataset(cfg["data"], splits)
+    dataset = load_dataset(cfg["data"], **rows)
     side = ckpt.config.input_size
     # load_dataset has checked that every image has the first one's shape
     first = next((s for name in SPLIT_NAMES for s in dataset.split(name)), None)
-    if first is not None and first.image.shape[:2] != (side, side):
-        height, width = first.image.shape[:2]
+    if first is not None and first.shape[:2] != (side, side):
+        height, width = first.shape[:2]
         raise DatasetError(
             f"{cfg['data']} holds {height}x{width} images, but {cfg['checkpoint']} takes {side}x{side}"
         )
@@ -256,7 +257,7 @@ def _load_model_and_data(cfg: dict[str, Any], splits: tuple[str, ...] = SPLIT_NA
 def cmd_eval(cfg: dict[str, Any], out: Path) -> None:
     if cfg["shifted_test"] and cfg["split"] != "test":
         raise ConfigError(f"shifted_test corrupts only the test split, but split = {cfg['split']!r}")
-    enc, cls, dataset = _load_model_and_data(cfg, (cfg["split"],))
+    enc, cls, dataset = _load_model_and_data(cfg, splits=(cfg["split"],))
     samples = dataset.split(cfg["split"])
     if not samples:
         raise DatasetError(f"split {cfg['split']!r} is empty in {cfg['data']}")
@@ -278,25 +279,25 @@ def _heat_overlay(image: np.ndarray, heat: np.ndarray) -> np.ndarray:
 
 
 def cmd_cam(cfg: dict[str, Any], out: Path) -> None:
-    enc, cls, dataset = _load_model_and_data(cfg)
-    enc = detach(enc)
-    by_id = {s.source_id: s for name in SPLIT_NAMES for s in dataset.split(name)}
     ids = [token.strip() for token in cfg["ids"].split(",") if token.strip()]
     if not ids:
         raise ConfigError("cam needs at least one sample id in 'ids'")
+    enc, cls, dataset = _load_model_and_data(cfg, ids=set(ids))
+    enc = detach(enc)
+    by_id = {s.source_id: s for name in SPLIT_NAMES for s in dataset.split(name)}
     unknown = [i for i in ids if i not in by_id]
     if unknown:
         raise ConfigError(f"unknown sample ids {unknown}; ids come from the index file stems")
     for sample_id in ids:
         sample = by_id[sample_id]
-        x = sample.image.transpose(2, 0, 1)[None]
-        _, maps = encoder_forward(Tensor(x), enc)
+        image = sample.image
+        _, maps = encoder_forward(Tensor(image.transpose(2, 0, 1)[None]), enc)
         heat = cam(maps.data[0], cls)
-        size = sample.image.shape[0]
+        size = image.shape[0]
         up = np.clip(bilinear_resize(heat, size, size), 0.0, 1.0)
-        write_ppm(out / f"{sample_id}_input.ppm", sample.image)
+        write_ppm(out / f"{sample_id}_input.ppm", image)
         write_pgm(out / f"{sample_id}_cam.pgm", up)
-        write_ppm(out / f"{sample_id}_overlay.ppm", _heat_overlay(sample.image, up))
+        write_ppm(out / f"{sample_id}_overlay.ppm", _heat_overlay(image, up))
         if sample.mask is not None:
             write_pgm(out / f"{sample_id}_mask.pgm", sample.mask.astype(np.float64))
         print(f"{sample_id}: cam written (peak {up.max():.3f})")

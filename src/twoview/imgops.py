@@ -2,7 +2,9 @@
 
 Images are float64 arrays, HxW (gray) or HxWx3 (color), values in [0,1].
 These helpers do not clip; callers that must guarantee the [0,1] invariant
-clip once at the end of their transform.
+clip once at the end of their transform.  The file functions also speak
+uint8 codes: the writers store them as they are, and `read_ppm(path,
+codes=True)` returns them instead of code / 255.
 """
 
 from __future__ import annotations
@@ -96,29 +98,34 @@ def gaussian_blur(img: np.ndarray, sigma: float) -> np.ndarray:
 # -- lossless 8-bit image files ----------------------------------------------
 
 
-def _quantize(img: np.ndarray) -> np.ndarray:
+def _codes(img: np.ndarray) -> np.ndarray:
+    """The 8-bit codes of img: uint8 as given, a float image quantized."""
+    if img.dtype == np.uint8:
+        return img
     return np.clip(np.round(np.asarray(img, dtype=np.float64) * 255.0), 0, 255).astype(np.uint8)
 
 
 def write_ppm(path, img: np.ndarray) -> None:
-    """Binary P6, maxval 255. img is HxWx3 float in [0,1], quantized to 8 bits."""
+    """Binary P6, maxval 255. img is HxWx3: uint8 codes, written as they
+    are, or float in [0,1], quantized to 8 bits."""
     img = np.asarray(img)
     if img.ndim != 3 or img.shape[2] != 3:
         raise ImageFileError(f"PPM wants an HxWx3 image, got shape {img.shape}")
     h, w = img.shape[:2]
-    payload = _quantize(img).tobytes()
+    payload = _codes(img).tobytes()
     Path(path).write_bytes(f"P6\n{w} {h}\n255\n".encode("ascii") + payload)
 
 
 def write_pgm(path, img: np.ndarray) -> None:
-    """Binary P5, maxval 255. img is HxW float in [0,1] (or bool), quantized."""
+    """Binary P5, maxval 255. img is HxW: uint8 codes, or float in [0,1]
+    (or bool), quantized."""
     img = np.asarray(img)
     if img.dtype == bool:
         img = img.astype(np.float64)
     if img.ndim != 2:
         raise ImageFileError(f"PGM wants an HxW image, got shape {img.shape}")
     h, w = img.shape
-    payload = _quantize(img).tobytes()
+    payload = _codes(img).tobytes()
     Path(path).write_bytes(f"P5\n{w} {h}\n255\n".encode("ascii") + payload)
 
 
@@ -149,27 +156,28 @@ def _parse_netpbm_header(data: bytes, magic: bytes, path) -> tuple[int, int, int
     return width, height, pos
 
 
-def read_ppm(path) -> np.ndarray:
+def _read_netpbm(path, magic: bytes, channels: tuple, codes: bool) -> np.ndarray:
+    """A file's pixels, (h, w) + channels: code / 255 as float64, or the codes."""
     path = Path(path)
     if not path.exists():
         raise ImageFileError(f"{path}: no such image file")
     data = path.read_bytes()
-    w, h, offset = _parse_netpbm_header(data, b"P6", path)
-    expected = w * h * 3
+    w, h, offset = _parse_netpbm_header(data, magic, path)
+    shape = (h, w) + channels
+    expected = math.prod(shape)
     payload = data[offset : offset + expected]
     if len(payload) != expected:
         raise ImageFileError(f"{path}: payload has {len(payload)} bytes, expected {expected}")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w, 3).astype(np.float64) / 255.0
+    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(shape)
+    return pixels.copy() if codes else pixels / 255.0
+
+
+def read_ppm(path, codes: bool = False) -> np.ndarray:
+    """HxWx3 float64 in [0,1], each value code / 255; with `codes`, the
+    file's uint8 codes themselves."""
+    return _read_netpbm(path, b"P6", (3,), codes)
 
 
 def read_pgm(path) -> np.ndarray:
-    path = Path(path)
-    if not path.exists():
-        raise ImageFileError(f"{path}: no such image file")
-    data = path.read_bytes()
-    w, h, offset = _parse_netpbm_header(data, b"P5", path)
-    expected = w * h
-    payload = data[offset : offset + expected]
-    if len(payload) != expected:
-        raise ImageFileError(f"{path}: payload has {len(payload)} bytes, expected {expected}")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(h, w).astype(np.float64) / 255.0
+    """HxW float64 in [0,1], each value code / 255."""
+    return _read_netpbm(path, b"P5", (), codes=False)

@@ -10,9 +10,13 @@ check on the test split.  Only brightness is class-neutral: the colour
 shift's fixed direction is linearly visible even to random, untrained
 features, so an untrained model separates the classes with a random sign.
 
+Generated and loaded images lie on the 8-bit grid, and a Sample holds them
+as their uint8 codes, an eighth of the float64 bytes; `Sample.image` gives
+float64 all the same.  Only this module knows how an image is held.
+
 On disk: `index.csv` (columns file,label,split,mask_file), images as binary
-PPM (P6), tamper masks as binary PGM (P5).  Images are quantized to the
-8-bit grid at generation time, so saving and loading is lossless.
+PPM (P6), tamper masks as binary PGM (P5).  The PPM payload is the codes
+themselves, so saving and loading is lossless.
 """
 
 from __future__ import annotations
@@ -62,9 +66,39 @@ _LANE_SPLIT = 2
 SPLIT_NAMES = ("train", "val", "test")
 
 
+def _as_float(pixels: np.ndarray) -> np.ndarray:
+    return pixels / 255.0 if pixels.dtype == np.uint8 else pixels
+
+
+class _HeldImage:
+    """`Sample.image`: held as given, read as float64.
+
+    Assigning keeps the array itself.  Reading returns float64: uint8 codes
+    c come back as c / 255.0, a new array on each read, the same bits that
+    `np.round(x * 255) / 255` gives; a float64 image comes back as it is.
+    """
+
+    def __get__(self, sample, owner=None):
+        if sample is None:
+            raise AttributeError("image")  # the dataclass field has no default
+        return _as_float(sample._pixels)
+
+    def __set__(self, sample, value):
+        sample._pixels = value
+
+
 @dataclass
 class Sample:
-    image: np.ndarray  # (S, S, 3) float64 in [0,1], on the 8-bit grid
+    """One labelled image.
+
+    `image` is (S, S, 3): uint8 codes for an image on the 8-bit grid, as
+    gen_real, gen_fake and load_dataset make them (12 KB at 64 px), or
+    float64 in [0,1] for one that is not, as shift_split makes them (98 KB).
+    Either is held as given; reading `.image` gives float64, so
+    `dataclasses.replace` without `image=` gives the copy float64 to hold.
+    """
+
+    image: np.ndarray = _HeldImage()
     label: int  # 0 real, 1 fake
     mask: np.ndarray | None  # (S, S) bool, fakes only; never fed to training
     source_id: str
@@ -74,6 +108,23 @@ class Sample:
             raise ContractError(f"label must be 0 or 1, got {self.label}")
         if (self.mask is None) != (self.label == 0):
             raise ContractError("fakes carry a mask, reals do not")
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """`image.shape`, without converting the image."""
+        return self._pixels.shape
+
+
+def stack_images(samples) -> np.ndarray:
+    """The float64 images of `samples` as one [N, S, S, 3] array.
+
+    Codes are stacked first and converted in one pass; the bits are those
+    of stacking each `.image`.
+    """
+    held = [s._pixels for s in samples]
+    if all(p.dtype == np.uint8 for p in held):
+        return np.stack(held) / 255.0
+    return np.stack([_as_float(p) for p in held])
 
 
 @dataclass
@@ -98,8 +149,15 @@ def ellipse_interior(size: int) -> np.ndarray:
     return inside
 
 
-def _quantize_to_grid(img: np.ndarray) -> np.ndarray:
-    return np.round(np.clip(img, 0.0, 1.0) * 255.0) / 255.0
+def _to_codes(img: np.ndarray) -> np.ndarray:
+    """uint8 codes of the nearest 8-bit grid values; / 255.0 gives them back."""
+    return np.round(np.clip(img, 0.0, 1.0) * 255.0).astype(np.uint8)
+
+
+def _codes_of(sample: Sample) -> np.ndarray:
+    """The held codes of `sample`; a float64 image is quantized first."""
+    pixels = sample._pixels
+    return pixels if pixels.dtype == np.uint8 else _to_codes(pixels)
 
 
 def _smooth_texture(gen, grid: int, size: int, center: float, amplitude: float) -> np.ndarray:
@@ -138,7 +196,7 @@ def gen_real(rng: RngStream, size: int = 64) -> Sample:
     face = _smooth_texture(gen, grid=face_grid, size=size, center=face_bright, amplitude=face_amp)
     img = np.where(ellipse_interior(size)[:, :, None], face, bg)
     return Sample(
-        image=_quantize_to_grid(img),
+        image=_to_codes(img),
         label=0,
         mask=None,
         source_id=f"real_{rng.index:05d}",
@@ -193,11 +251,9 @@ def gen_fake(base: Sample, donor: Sample, rng: RngStream) -> Sample:
     """
     if base.label != 0 or donor.label != 0:
         raise ContractError("gen_fake needs two real samples as base and donor")
-    if base.image.shape != donor.image.shape:
-        raise ContractError(
-            f"base and donor sizes differ: {base.image.shape} vs {donor.image.shape}"
-        )
-    size = base.image.shape[0]
+    if base.shape != donor.shape:
+        raise ContractError(f"base and donor sizes differ: {base.shape} vs {donor.shape}")
+    size = base.shape[0]
     gen = rng.generator()
     side_lo, side_hi = _rect_side_bounds(size)
     rh = int(gen.integers(side_lo, side_hi + 1))
@@ -214,11 +270,12 @@ def gen_fake(base: Sample, donor: Sample, rng: RngStream) -> Sample:
     up = gen.uniform(0.02, 0.025, 2)
     shift = np.array([up[0], -(up[0] + up[1]), up[1]])
 
-    donor_patch = donor.image[src_top : src_top + rh, src_left : src_left + rw]
-    base_patch = base.image[dst_top : dst_top + rh, dst_left : dst_left + rw]
-    blended = _quantize_to_grid(_blend_patch(base_patch, donor_patch, shift))
+    base_codes = _codes_of(base)
+    donor_patch = _codes_of(donor)[src_top : src_top + rh, src_left : src_left + rw] / 255.0
+    base_patch = base_codes[dst_top : dst_top + rh, dst_left : dst_left + rw] / 255.0
+    blended = _to_codes(_blend_patch(base_patch, donor_patch, shift))
 
-    img = base.image.copy()
+    img = base_codes.copy()
     img[dst_top : dst_top + rh, dst_left : dst_left + rw] = blended
     mask = np.zeros((size, size), dtype=bool)
     mask[dst_top : dst_top + rh, dst_left : dst_left + rw] = True
@@ -316,7 +373,7 @@ def save_dataset(dataset: DatasetSplit, directory) -> None:
     for name in SPLIT_NAMES:
         for i, sample in enumerate(dataset.split(name)):
             stem = f"{name}_{i:05d}"
-            write_ppm(directory / f"{stem}.ppm", sample.image)
+            write_ppm(directory / f"{stem}.ppm", sample._pixels)
             mask_file = ""
             if sample.mask is not None:
                 mask_file = f"{stem}_mask.pgm"
@@ -328,14 +385,15 @@ def save_dataset(dataset: DatasetSplit, directory) -> None:
         writer.writerows(rows)
 
 
-def load_dataset(directory, splits: tuple[str, ...] = SPLIT_NAMES) -> DatasetSplit:
+def load_dataset(directory, splits: tuple[str, ...] = SPLIT_NAMES, ids=None) -> DatasetSplit:
     """Rebuild a DatasetSplit from the save_dataset layout, images as saved.
 
     Every index row is validated, but image and mask files are opened only
-    for rows of the named `splits`, so the other splits come back empty and
-    a damaged file in them goes unnoticed.  Each split keeps the index's row
-    order; `twoview eval --shifted-test` corrupts the loaded test split with
-    shift_split.
+    for rows of the named `splits` and, when `ids` is given, only for rows
+    whose id (the file stem, which becomes the source_id) it holds.  Rows
+    left out are not loaded, and a damaged file in them goes unnoticed.
+    Each split keeps the index's row order; `twoview eval --shifted-test`
+    corrupts the loaded test split with shift_split.
     """
     unknown = [name for name in splits if name not in SPLIT_NAMES]
     if unknown:
@@ -362,10 +420,11 @@ def load_dataset(directory, splits: tuple[str, ...] = SPLIT_NAMES) -> DatasetSpl
             raise DatasetError(f"{index}:{lineno}: unknown split {split_name!r}")
         if (label == 1) != bool(mask_file):
             raise DatasetError(f"{index}:{lineno}: fakes need a mask_file, reals must not have one")
-        if split_name not in splits:
+        source_id = Path(fname).stem
+        if split_name not in splits or (ids is not None and source_id not in ids):
             continue
         try:
-            image = read_ppm(directory / fname)
+            image = read_ppm(directory / fname, codes=True)
             mask = read_pgm(directory / mask_file) > 0.5 if mask_file else None
         except ImageFileError as exc:
             raise DatasetError(str(exc)) from exc
@@ -377,7 +436,7 @@ def load_dataset(directory, splits: tuple[str, ...] = SPLIT_NAMES) -> DatasetSpl
                 f"but the first image, {first[0]}, has shape {first[1]}"
             )
         dataset.split(split_name).append(
-            Sample(image=image, label=label, mask=mask, source_id=Path(fname).stem)
+            Sample(image=image, label=label, mask=mask, source_id=source_id)
         )
     return dataset
 

@@ -39,6 +39,7 @@ from .model import (
     params_from_arrays,
 )
 from .ndgrad import EPS_NORM, Adam, ContractError, DegenerateVectorError, Tensor, _keep_freed_memory
+from .synthdata import stack_images
 
 
 class CheckpointError(Exception):
@@ -589,8 +590,8 @@ def score_samples(enc: Params, cls: Params, samples) -> ScoredSet:
     _keep_freed_memory()
     enc, cls = detach(enc), detach(cls)
     reps = []
-    for chunk in _chunks(samples, enc, samples[0].image.shape[0], views=1):
-        x = np.stack([s.image for s in chunk]).transpose(0, 3, 1, 2)
+    for chunk in _chunks(samples, enc, samples[0].shape[0], views=1):
+        x = stack_images(chunk).transpose(0, 3, 1, 2)
         reps.append(encoder_forward(Tensor(x), enc)[0].data)
     scores = classifier_forward(Tensor(np.concatenate(reps)), cls).data
     return ScoredSet(scores=scores, labels=_labels_of(samples))
@@ -612,7 +613,7 @@ def cross_view_distance(enc: Params, samples, aug: str, seed: int) -> float:
     _keep_freed_memory()
     enc = detach(enc)
     total = 0.0
-    for positions in _chunks(range(len(samples)), enc, samples[0].image.shape[0], views=2):
+    for positions in _chunks(range(len(samples)), enc, samples[0].shape[0], views=2):
         reps = _encode_pairs(_view_pairs(samples, positions, aug, seed, 0), enc)
         m = len(positions)
         total += batch_consistency(reps[:m], reps[m:], "cos").item()

@@ -260,19 +260,20 @@ class TestExitCodes:
         assert taken.read_text() == "not a directory\n"
 
     def test_mixed_image_sizes_are_runtime_errors(self, run_dir, data_dir, tmp_path, capsys):
-        # one test image at 64 px among 32 px ones: both commands exit 1, naming it
-        mixed = tmp_path / "mixed"
-        shutil.copytree(data_dir, mixed)
-        fname = load_dataset(data_dir).test[0].source_id + ".ppm"
-        write_ppm(mixed / fname, np.full((64, 64, 3), 0.5))
-        code = run_cli("train", "--data", mixed, "--out", tmp_path / "t", "--epochs", 1,
-                       "--pairs-per-batch", 4, "--channels", "4,6")
-        assert code == 1
-        assert fname in capsys.readouterr().err
-        code = run_cli("eval", "--checkpoint", run_dir / "model.ckpt", "--data", mixed,
-                       "--out", tmp_path / "e")
-        assert code == 1
-        assert fname in capsys.readouterr().err
+        # one image at 64 px among 32 px ones, in a split the command reads
+        # (train reads train and val, eval the test split): it exits 1, naming it
+        commands = {
+            "val": ["train", "--epochs", 1, "--pairs-per-batch", 4, "--channels", "4,6"],
+            "test": ["eval", "--checkpoint", run_dir / "model.ckpt"],
+        }
+        for split, argv in commands.items():
+            mixed = tmp_path / f"mixed_{split}"
+            shutil.copytree(data_dir, mixed)
+            fname = load_dataset(data_dir).split(split)[0].source_id + ".ppm"
+            write_ppm(mixed / fname, np.full((64, 64, 3), 0.5))
+            code = run_cli(*argv, "--data", mixed, "--out", tmp_path / f"out_{split}")
+            assert code == 1, split
+            assert fname in capsys.readouterr().err
 
     def test_images_of_another_size_than_the_checkpoint_are_runtime_errors(self, run_dir, tmp_path,
                                                                            capsys):
@@ -357,6 +358,17 @@ class TestTrain:
         assert code == 0
         assert (out2 / "model.ckpt").read_bytes() == (run_dir / "model.ckpt").read_bytes()
         assert (out2 / "history.csv").read_bytes() == (run_dir / "history.csv").read_bytes()
+
+    def test_reads_only_the_train_and_val_splits(self, run_dir, data_dir, tmp_path):
+        # a test-split image cut short changes nothing: train reads no test file
+        part = tmp_path / "damaged"
+        shutil.copytree(data_dir, part)
+        damaged = part / (load_dataset(data_dir).test[0].source_id + ".ppm")
+        damaged.write_bytes(damaged.read_bytes()[:40])
+        out = tmp_path / "rerun"
+        assert run_cli("train", "--data", part, "--out", out, "--seed", 5, "--epochs", 2,
+                       "--pairs-per-batch", 4, "--channels", "4,6") == 0
+        assert (out / "model.ckpt").read_bytes() == (run_dir / "model.ckpt").read_bytes()
 
     def test_progress_lines_on_stdout(self, data_dir, tmp_path, capsys):
         out = tmp_path / "o"
@@ -509,6 +521,24 @@ class TestCam:
                        "--out", out, "--ids", ",".join(ids)) == 0
         assert (out / f"{ids[0]}_input.ppm").exists()
         assert (out / f"{ids[1]}_input.ppm").exists()
+
+    def test_reads_only_the_files_of_its_ids(self, run_dir, data_dir, tmp_path):
+        # with every image of the other splits cut short, cam of a test id
+        # writes the same bytes as on the whole dataset
+        fake_id = next(s.source_id for s in load_dataset(data_dir).test if s.label == 1)
+        part = tmp_path / "damaged"
+        shutil.copytree(data_dir, part)
+        for line in (part / "index.csv").read_text().splitlines()[1:]:
+            file, _, split, _ = line.split(",")
+            if split != "test":
+                (part / file).write_bytes((part / file).read_bytes()[:40])
+        outs = []
+        for data in (data_dir, part):
+            out = tmp_path / f"cam_{data.name}"
+            assert run_cli("cam", "--checkpoint", run_dir / "model.ckpt", "--data", data,
+                           "--out", out, "--ids", fake_id) == 0
+            outs.append({p.name: p.read_bytes() for p in out.iterdir() if p.suffix != ".cfg"})
+        assert len(outs[0]) == 4 and outs[0] == outs[1]
 
     def test_unknown_id_is_usage_error(self, run_dir, data_dir, tmp_path, capsys):
         code = run_cli("cam", "--checkpoint", run_dir / "model.ckpt", "--data", data_dir,

@@ -1,16 +1,21 @@
 """Dataset generator: locality of tampering, split hygiene, lossless IO."""
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from twoview.augment import RngStream, dfdc_selim
-from twoview.imgops import write_ppm
+from twoview.imgops import read_ppm, write_ppm
 from twoview.metrics import ScoredSet, auc
 from twoview.ndgrad import ContractError
 from twoview.synthdata import (
     RECT_SIDE_MAX,
     RECT_SIDE_MIN,
+    SPLIT_NAMES,
     DatasetError,
+    DatasetSplit,
     Sample,
     _blend_patch,
     _feather_alpha,
@@ -21,11 +26,21 @@ from twoview.synthdata import (
     load_dataset,
     save_dataset,
     shift_split,
+    stack_images,
 )
 
 
 def real(seed=0, index=0, size=64):
     return gen_real(RngStream(seed, 0, index, 0), size=size)
+
+
+def held_as_float64(sample):
+    """The same sample, its image given as the float64 array `.image` reads."""
+    return replace(sample, image=sample.image)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 class TestEllipse:
@@ -51,7 +66,7 @@ class TestEllipse:
 class TestGenReal:
     def test_shape_range_and_grid(self):
         s = real()
-        assert s.image.shape == (64, 64, 3)
+        assert s.image.shape == s.shape == (64, 64, 3)
         assert s.image.dtype == np.float64
         assert s.image.min() >= 0.0 and s.image.max() <= 1.0
         assert np.array_equal(s.image, np.round(s.image * 255.0) / 255.0)
@@ -149,6 +164,14 @@ class TestGenFake:
         before = base.image.copy()
         gen_fake(base, donor, RngStream(0, 1, 0, 1))
         assert np.array_equal(base.image, before)
+
+    def test_float64_reals_give_the_same_fake(self):
+        base, donor = real(index=0), real(index=1)
+        codes = gen_fake(base, donor, RngStream(0, 1, 0, 1))
+        floats = gen_fake(held_as_float64(base), held_as_float64(donor), RngStream(0, 1, 0, 1))
+        assert base._pixels.dtype == np.uint8 and held_as_float64(base)._pixels.dtype == np.float64
+        assert same_bits(codes.image, floats.image)
+        assert np.array_equal(codes.mask, floats.mask)
 
     def test_rejects_fake_inputs(self):
         base, donor = real(index=0), real(index=1)
@@ -268,6 +291,26 @@ class TestGenDataset:
                 value = auc(scored)
                 assert max(value, 1.0 - value) < 0.6, (seed, name)
 
+    def test_samples_hold_8_bit_codes(self):
+        # 500 images held as float64 take 49 MB; as uint8 codes, with the
+        # 400 masks, 8.3 MB, and generation never holds much more
+        tracemalloc.start()
+        try:
+            ds = gen_dataset(n_real=100, ratio=4, seed=0)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(ds.train) + len(ds.val) + len(ds.test) == 500
+        assert held < 12 << 20, f"{held / 2**20:.2f} MiB held"
+        assert peak < 12 << 20, f"{peak / 2**20:.2f} MiB peak"
+
+    def test_stack_images_matches_stacking_each_image(self, ds):
+        samples = ds.test[:6]
+        want = np.stack([s.image for s in samples])
+        assert same_bits(stack_images(samples), want)
+        mixed = [held_as_float64(s) if i % 2 else s for i, s in enumerate(samples)]
+        assert same_bits(stack_images(mixed), want)
+
     def test_contracts(self):
         with pytest.raises(ContractError):
             gen_dataset(n_real=5, ratio=2, seed=0)
@@ -292,6 +335,37 @@ class TestSaveLoad:
                     assert b.mask is None
                 else:
                     assert np.array_equal(a.mask, b.mask)
+
+    def test_loaded_images_are_the_float_path_bitwise(self, tmp_path):
+        # the float64 images of generation, the float reader and load_dataset agree
+        ds = gen_dataset(n_real=12, ratio=2, seed=3)
+        save_dataset(ds, tmp_path)
+        back = load_dataset(tmp_path)
+        for name in ("train", "val", "test"):
+            for a, b in zip(ds.split(name), back.split(name), strict=True):
+                grid = np.round(np.clip(a.image, 0.0, 1.0) * 255.0) / 255.0
+                assert same_bits(b.image, a.image) and same_bits(b.image, grid)
+                assert same_bits(b.image, read_ppm(tmp_path / f"{b.source_id}.ppm"))
+
+    def test_float64_images_save_the_same_files(self, tmp_path):
+        ds = gen_dataset(n_real=10, ratio=1, seed=1)
+        twin = DatasetSplit(*([held_as_float64(s) for s in ds.split(name)] for name in SPLIT_NAMES))
+        save_dataset(ds, tmp_path / "codes")
+        save_dataset(twin, tmp_path / "floats")
+        names = sorted(p.name for p in (tmp_path / "codes").iterdir())
+        assert names == sorted(p.name for p in (tmp_path / "floats").iterdir())
+        for name in names:
+            assert (tmp_path / "codes" / name).read_bytes() == (tmp_path / "floats" / name).read_bytes()
+
+    def test_shift_split_of_codes_and_of_float64_is_bitwise(self):
+        ds = gen_dataset(n_real=10, ratio=1, seed=2)
+        codes = list(ds.test)
+        floats = [held_as_float64(s) for s in ds.test]
+        shift_split(codes, 4)
+        shift_split(floats, 4)
+        for a, b in zip(codes, floats, strict=True):
+            assert a._pixels.dtype == np.float64  # corrupted images are held as they are
+            assert same_bits(a.image, b.image)
 
     def test_source_id_is_file_stem(self, tmp_path):
         ds = gen_dataset(n_real=10, ratio=1, seed=0)
@@ -367,6 +441,22 @@ class TestSaveLoad:
         )
         with pytest.raises(DatasetError, match="label"):
             load_dataset(tmp_path, splits=("test",))
+
+    def test_rows_of_other_ids_are_not_opened(self, tmp_path):
+        ds = gen_dataset(n_real=10, ratio=1, seed=0)
+        save_dataset(ds, tmp_path)
+        whole = load_dataset(tmp_path)
+        for sample in whole.train[1:]:
+            (tmp_path / f"{sample.source_id}.ppm").write_bytes(b"P6\n64 64\n255\n")
+        fake = next(s for s in whole.test if s.label == 1)
+        picked = load_dataset(tmp_path, ids={"train_00000", fake.source_id})
+        assert [s.source_id for s in picked.train] == ["train_00000"]
+        assert picked.val == [] and [s.source_id for s in picked.test] == [fake.source_id]
+        assert same_bits(picked.test[0].image, fake.image)
+        assert np.array_equal(picked.test[0].mask, fake.mask)
+        assert load_dataset(tmp_path, splits=("val",), ids={"train_00000"}).train == []
+        with pytest.raises(DatasetError, match="train_00001"):
+            load_dataset(tmp_path, ids={"train_00001"})
 
     def test_unknown_split_name_rejected(self, tmp_path):
         with pytest.raises(ContractError, match="dev"):

@@ -28,7 +28,7 @@ from twoview.model import (
     named_parameters,
 )
 from twoview.ndgrad import Adam, ContractError, DegenerateVectorError, Tensor, finite_diff_grad
-from twoview.synthdata import gen_dataset
+from twoview.synthdata import SPLIT_NAMES, DatasetSplit, gen_dataset
 from twoview.trainer import (
     Checkpoint,
     CheckpointError,
@@ -641,6 +641,26 @@ print(faults)
 
 
 class TestTrain:
+    def test_codes_and_float64_images_train_and_score_bitwise(self, tiny_dataset, tmp_path):
+        # generated samples hold uint8 codes; the twin holds the same values
+        # as the float64 arrays `.image` reads, so every step sees the same input
+        twin = DatasetSplit(*(
+            [replace(s, image=s.image) for s in tiny_dataset.split(name)] for name in SPLIT_NAMES
+        ))
+        assert tiny_dataset.train[0]._pixels.dtype == np.uint8
+        assert twin.train[0]._pixels.dtype == np.float64
+        cfg = tiny_config(max_epochs=2)
+        for name, data in (("codes", tiny_dataset), ("floats", twin)):
+            ckpt, _ = train(cfg, data)
+            save_checkpoint(tmp_path / f"{name}.ckpt", ckpt)
+        assert (tmp_path / "codes.ckpt").read_bytes() == (tmp_path / "floats.ckpt").read_bytes()
+        enc, cls = params_from_checkpoint(ckpt)
+        mixed = [s if i % 2 else t for i, (s, t) in enumerate(zip(tiny_dataset.test, twin.test))]
+        scores = [score_samples(enc, cls, samples).scores
+                  for samples in (tiny_dataset.test, twin.test, mixed)]
+        for other in scores[1:]:
+            assert np.array_equal(scores[0].view(np.int64), other.view(np.int64))
+
     def test_deterministic_bitwise(self, tiny_dataset, tmp_path):
         cfg = tiny_config(max_epochs=2)
         ckpt_a, hist_a = train(cfg, tiny_dataset)
