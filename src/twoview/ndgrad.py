@@ -48,7 +48,7 @@ _M_MMAP_THRESHOLD = -3
 # free() unmaps, so the next step faults it in again.  The threshold must
 # exceed a step's largest array: a 60 MiB threshold faulted on every step
 # whose largest array was 67 MB, and 68 MiB did not.  The encoder runs in
-# chunks whose largest array is trainer._CHUNK_BYTES (8 MiB), or one image's
+# chunks whose largest array is trainer._CHUNK_BYTES (2 MiB), or one image's
 # stage-0 output where that is larger; 256 MiB leaves room for one image of
 # 32 channels at 1024 px.
 _MMAP_THRESHOLD = 256 << 20
@@ -83,11 +83,6 @@ def _keep_freed_memory() -> None:
         mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
-def _as_array(value) -> np.ndarray:
-    arr = np.asarray(value, dtype=np.float64)
-    return arr
-
-
 def _accumulate(t: "Tensor", g: np.ndarray, owned: bool = False) -> None:
     """Add g into t.grad; the first gradient a tensor receives becomes its buffer.
 
@@ -117,7 +112,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_op")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_array(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()

@@ -422,8 +422,16 @@ def load_checkpoint(path) -> Checkpoint:
 # output, channels[1] * S * S float64s per image.  At the `twoview train`
 # defaults (16-128 channels, 64 px, 32 pairs) a pass over the whole batch
 # makes that array 67 MB, so relu, pooling and the separable convs are all
-# bound by memory; chunks of 8 MiB keep their data nearer the cache.
-_CHUNK_BYTES = 8 << 20
+# bound by memory.  A training step keeps one chunk's graph alive at a time,
+# so the budget also sets a step's live memory.  Full `bench/run.py` runs
+# (2-core Xeon with 2 MiB of L2 per core, one BLAS thread), medians of
+# peak RSS in MB and op_cost in calib for train-ref / train-wide / eval-io:
+#   1 MiB  62.9 / 76.1 / 71.9 MB   5.04 / 43.9 / 46.0   (3 runs)
+#   2 MiB  71.5 / 76.2 / 74.8 MB   4.73 / 44.1 / 45.0   (10 runs)
+#   4 MiB  88.6 / 92.5 / 80.2 MB   4.98 / 45.6 / 45.8   (3 runs)
+#   8 MiB 121.4 / 126.4 / 91.0 MB  5.31 / 47.0 / 44.9   (10 runs)
+# train-wide runs one pair per chunk at both 1 and 2 MiB.
+_CHUNK_BYTES = 2 << 20
 
 
 def _chunks(items, enc: Params, size: int, views: int) -> list:
