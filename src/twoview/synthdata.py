@@ -127,6 +127,20 @@ def stack_images(samples) -> np.ndarray:
     return np.stack([_as_float(p) for p in held])
 
 
+def channel_stats(samples) -> tuple[np.ndarray, np.ndarray]:
+    """Per-channel mean and std, shape (3,) each, of the float64 images of `samples`.
+
+    Two passes over the held images, one image at a time, so no float64
+    stack of the split is made (29.5 MB for 300 images at 64 px).  The std
+    is taken around the first pass's mean, not as E[x**2] - mean**2: that
+    form cancels, and a generated image's mean is about 40 times its std.
+    """
+    count = sum(s.shape[0] * s.shape[1] for s in samples)
+    mean = sum(_as_float(s._pixels).sum(axis=(0, 1)) for s in samples) / count
+    var = sum(np.square(_as_float(s._pixels) - mean).sum(axis=(0, 1)) for s in samples) / count
+    return mean, np.sqrt(var)
+
+
 @dataclass
 class DatasetSplit:
     train: list[Sample] = field(default_factory=list)

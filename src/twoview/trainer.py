@@ -39,7 +39,7 @@ from .model import (
     params_from_arrays,
 )
 from .ndgrad import EPS_NORM, Adam, ContractError, DegenerateVectorError, Tensor, _keep_freed_memory
-from .synthdata import stack_images
+from .synthdata import channel_stats, stack_images
 
 
 class CheckpointError(Exception):
@@ -47,7 +47,7 @@ class CheckpointError(Exception):
 
 
 MAGIC = b"CORECKPT"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 _FNV_BASIS = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -55,7 +55,7 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 
 
 def _checksum(body) -> bytes:
-    """The 8-byte trailer of a format-2 file: BLAKE2b-64 of everything before it."""
+    """The 8-byte trailer of a format-2 or later file: BLAKE2b-64 of everything before it."""
     return hashlib.blake2b(body, digest_size=8).digest()
 
 
@@ -162,6 +162,8 @@ class EarlyStopper:
 class Checkpoint:
     config: ModelConfig
     params: dict[str, np.ndarray]
+    input_mean: np.ndarray  # [3], the encoder's input/mean
+    input_std: np.ndarray  # [3], the encoder's input/std
     adam_m: dict[str, np.ndarray]
     adam_v: dict[str, np.ndarray]
     adam_t: int
@@ -203,11 +205,13 @@ def snapshot_checkpoint(
     best_val_auc: float,
     seed: int,
 ) -> Checkpoint:
-    """Deep-copy the current model and optimizer state."""
+    """Deep-copy the current model, its input statistics and the optimizer state."""
     names = named_parameters(enc, cls)
     return Checkpoint(
         config=config,
         params={name: p.data.copy() for name, p in names.items()},
+        input_mean=enc["input/mean"].data.copy(),
+        input_std=enc["input/std"].data.copy(),
         adam_m={name: opt.m[name].copy() for name in names},
         adam_v={name: opt.v[name].copy() for name in names},
         adam_t=opt.t,
@@ -223,7 +227,8 @@ def snapshot_checkpoint(
 
 def params_from_checkpoint(ckpt: Checkpoint) -> tuple[Params, Params]:
     """Rebuild live (trainable) parameter mappings from copies of the stored arrays."""
-    return params_from_arrays(ckpt.config, {name: arr.copy() for name, arr in ckpt.params.items()})
+    arrays = {**ckpt.params, "input/mean": ckpt.input_mean, "input/std": ckpt.input_std}
+    return params_from_arrays(ckpt.config, {name: arr.copy() for name, arr in arrays.items()})
 
 
 def _tensor_table(ckpt: Checkpoint) -> dict[str, np.ndarray]:
@@ -235,7 +240,8 @@ def _tensor_table(ckpt: Checkpoint) -> dict[str, np.ndarray]:
     table: dict[str, np.ndarray] = {
         "config/input_size": np.array([ckpt.config.input_size], dtype=np.float64),
         "config/channels": np.array(ckpt.config.channels, dtype=np.float64),
-        "config/num_classes": np.array([2.0]),  # binary task; kept so the layout stays v2
+        "input/mean": ckpt.input_mean,
+        "input/std": ckpt.input_std,
     }
 
     def add_scalars(what: str) -> None:
@@ -316,39 +322,38 @@ def _parse_tensor_table(data: bytes, path) -> dict[str, np.ndarray]:
 
 def _read_table(body, path) -> dict[str, np.ndarray]:
     off = len(MAGIC) + 4  # magic and version, checked by the caller
+    size = len(body)
 
-    def take(n: int, what: str):
-        # the next n bytes of the body
+    def take(n: int, what: str, *args):
+        # the next n bytes of the body.  A load reads some 70 tensors, so the
+        # error's noun, what.format(*args), is formatted only when it is raised
         nonlocal off
-        if off + n > len(body):
-            raise CheckpointError(f"{path}: truncated at offset {off} while reading {what}")
+        if off + n > size:
+            raise CheckpointError(f"{path}: truncated at offset {off} while reading {what.format(*args)}")
         off += n
         return body[off - n : off]
 
-    def u(n: int, what: str) -> int:
-        return int.from_bytes(take(n, what), "little")
-
-    count = u(4, "tensor count")
+    count = int.from_bytes(take(4, "tensor count"), "little")
     table: dict[str, np.ndarray] = {}
     for _ in range(count):
-        name_len = u(2, "name length")
+        name_len = int.from_bytes(take(2, "name length"), "little")
         try:
-            name = bytes(take(name_len, "tensor name")).decode("utf-8")
+            name = str(take(name_len, "tensor name"), "utf-8")
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"{path}: tensor name is not valid UTF-8") from exc
         if name in table:
             raise CheckpointError(f"{path}: duplicate tensor {name!r}")
-        rank = u(1, f"rank of {name}")
+        rank = take(1, "rank of {}", name)[0]
         if rank < 1:
             raise CheckpointError(f"{path}: tensor {name!r} has rank 0")
-        dims = tuple(u(4, f"dim {i} of {name}") for i in range(rank))
-        if any(d < 1 for d in dims):
+        dims = [int.from_bytes(take(4, "dim {} of {}", i, name), "little") for i in range(rank)]
+        if min(dims) < 1:
             raise CheckpointError(f"{path}: tensor {name!r} has a zero dimension")
         # math.prod is exact; np.prod wraps around in int64
-        payload = take(8 * math.prod(dims), f"payload of {name}")
+        payload = take(8 * math.prod(dims), "payload of {}", name)
         table[name] = np.frombuffer(payload, "<f8").reshape(dims).astype(np.float64)
-    if off != len(body):
-        raise CheckpointError(f"{path}: {len(body) - off} trailing bytes after the tensor table")
+    if off != size:
+        raise CheckpointError(f"{path}: {size - off} trailing bytes after the tensor table")
     return table
 
 
@@ -391,15 +396,22 @@ def load_checkpoint(path) -> Checkpoint:
 
     (input_size,) = pull_ints("config/input_size", "config entry", lo=1)
     channels = pull_ints("config/channels", "config entry", shape=None, lo=1)
-    (num_classes,) = pull_ints("config/num_classes", "config entry")
-    if num_classes != 2:
-        raise CheckpointError(f"{path}: config entry 'config/num_classes' must be 2, got {num_classes}")
     try:
         config = ModelConfig(input_size=input_size, channels=tuple(channels))
     except ContractError as exc:
         raise CheckpointError(
             f"{path}: config/input_size and config/channels describe no valid model: {exc}"
         ) from exc
+    stats = {}
+    for name, expected, valid in (
+        ("input/mean", "finite", np.isfinite),
+        ("input/std", "finite and > 0", lambda v: np.isfinite(v) & (v > 0)),
+    ):
+        stats[name] = pull(name, "input statistic", (3,))
+        if not np.all(valid(stats[name])):
+            raise CheckpointError(
+                f"{path}: input statistic {name!r} must be {expected}, got {stats[name].tolist()}"
+            )
     expected = param_shapes(config)
     params = {name: pull(name, "parameter", shape) for name, shape in expected.items()}
     optimizer = pull_scalars("optimizer entry")
@@ -412,19 +424,25 @@ def load_checkpoint(path) -> Checkpoint:
     seed = (seed_high << 32) | seed_low
     if table:
         raise CheckpointError(f"{path}: unexpected tensors {sorted(table)}")
-    return Checkpoint(config, params, adam_m, adam_v, seed=seed, **optimizer, **metadata)
+    return Checkpoint(
+        config, params, stats["input/mean"], stats["input/std"], adam_m, adam_v, seed=seed, **optimizer, **metadata
+    )
 
 
 # -- the loop itself ------------------------------------------------------------
 
 
-# Bytes of the largest activation that one encoder pass holds: the stage-0
-# output, channels[1] * S * S float64s per image.  At the `twoview train`
+# Bytes per encoder pass, counted as channels[1] * S * S float64s per image.
+# That was the stage-0 output when each stage pooled last.  Stage 0 now
+# pools before its pointwise conv, so its full-size arrays (the stem's and
+# the depthwise outputs) hold channels[0] * S * S, half the count at the
+# usual doubling plans, and its pooled output a quarter.  The count stays,
+# so every config runs the chunks it ran before.  At the `twoview train`
 # defaults (16-128 channels, 64 px, 32 pairs) a pass over the whole batch
-# makes that array 67 MB, so relu, pooling and the separable convs are all
-# bound by memory.  A training step keeps one chunk's graph alive at a time,
-# so the budget also sets a step's live memory.  Full `bench/run.py` runs
-# (2-core Xeon with 2 MiB of L2 per core, one BLAS thread), medians of
+# would make 33.5 MB arrays, so every op is bound by memory.  A training
+# step keeps one chunk's graph alive at a time, so the budget also sets a
+# step's live memory.  Full `bench/run.py` runs of the model that pooled
+# last (2-core Xeon with 2 MiB of L2 per core, one BLAS thread), medians of
 # peak RSS in MB and op_cost in calib for train-ref / train-wide / eval-io:
 #   1 MiB  62.9 / 76.1 / 71.9 MB   5.04 / 43.9 / 46.0   (3 runs)
 #   2 MiB  71.5 / 76.2 / 74.8 MB   4.73 / 44.1 / 45.0   (10 runs)
@@ -534,9 +552,12 @@ def _require_both_classes(samples, name: str) -> None:
 def train(config: TrainConfig, dataset, on_epoch=None) -> tuple[Checkpoint, TrainHistory]:
     """Full run: epoch loop, validation-AUC early stopping, best-checkpoint pick.
 
-    `dataset` provides .train and .val sample lists.  Returns the checkpoint
-    of the epoch with the highest validation AUC (strict-improvement
-    comparison, patience from the config) and the per-epoch history.
+    `dataset` provides .train and .val sample lists.  The encoder
+    standardises its input by the train split's per-channel mean and std,
+    which the checkpoint stores beside the parameters.  Returns the
+    checkpoint of the epoch with the highest validation AUC
+    (strict-improvement comparison, patience from the config) and the
+    per-epoch history.
     """
     train_samples = dataset.train
     _require_both_classes(train_samples, "train")
@@ -548,7 +569,11 @@ def train(config: TrainConfig, dataset, on_epoch=None) -> tuple[Checkpoint, Trai
             f"pairs_per_batch {n} exceeds the training split size {len(train_samples)}"
         )
 
+    mean, std = channel_stats(train_samples)
+    if not np.all(std > 0):
+        raise ContractError(f"train split has a constant channel: per-channel std {std.tolist()}")
     enc, cls = init_params(config.model, derive_seed(config.seed, "init"))
+    enc["input/mean"], enc["input/std"] = Tensor(mean), Tensor(std)
     opt = Adam(named_parameters(enc, cls), lr=config.lr)
     stopper = EarlyStopper(config.patience)
     shuffle_seed = derive_seed(config.seed, "shuffle")

@@ -90,6 +90,21 @@ def avg_pool2_ref(x):
     return out
 
 
+def group_norm_ref(x, gamma, beta, groups, eps=1e-5):
+    """GroupNorm's affine output before any ReLU, by two passes per (sample, group):
+    the mean, then the variance around it."""
+    n, c, h, w = x.shape
+    per = c // groups
+    out = np.zeros_like(x)
+    for bi in range(n):
+        for gi in range(groups):
+            block = x[bi, gi * per : (gi + 1) * per]
+            mu = block.mean()
+            var = ((block - mu) ** 2).mean()
+            out[bi, gi * per : (gi + 1) * per] = (block - mu) / np.sqrt(var + eps)
+    return out * gamma[None, :, None, None] + beta[None, :, None, None]
+
+
 def global_avg_pool_ref(x):
     n, c, h, w = x.shape
     out = np.zeros((n, c))
@@ -195,7 +210,7 @@ def fnv1a_ref(data: bytes) -> int:
 # -- checkpoint layout -----------------------------------------------------------
 
 
-def checkpoint_body(table: dict, version: int = 2) -> bytes:
+def checkpoint_body(table: dict, version: int = 3) -> bytes:
     """A checkpoint file up to its 8-byte trailer, written field by field.
 
     Magic, u32 version, u32 tensor count; then per tensor a u16 name length,
@@ -240,8 +255,37 @@ def checkpoint_v2_entries(ckpt) -> dict:
     }
 
 
+def checkpoint_v3_entries(ckpt) -> dict:
+    """The format-3 entries of a trainer.Checkpoint, listed by hand in file order.
+
+    Format 3 drops config/num_classes and stores the input statistics after
+    the config; the GroupNorm parameters ride in ckpt.params.
+    """
+
+    def one(value):
+        return np.array([value], dtype=np.float64)
+
+    return {
+        "config/input_size": one(ckpt.config.input_size),
+        "config/channels": np.array(ckpt.config.channels, dtype=np.float64),
+        "input/mean": ckpt.input_mean,
+        "input/std": ckpt.input_std,
+        **ckpt.params,
+        "adam/t": one(ckpt.adam_t),
+        "adam/lr": one(ckpt.lr),
+        "adam/beta1": one(ckpt.beta1),
+        "adam/beta2": one(ckpt.beta2),
+        "adam/eps": one(ckpt.eps),
+        **{f"adam/m/{name}": arr for name, arr in ckpt.adam_m.items()},
+        **{f"adam/v/{name}": arr for name, arr in ckpt.adam_v.items()},
+        "meta/epoch": one(ckpt.epoch),
+        "meta/best_val_auc": one(ckpt.best_val_auc),
+        "meta/seed": np.array([ckpt.seed >> 32, ckpt.seed % 2**32], dtype=np.float64),
+    }
+
+
 def sealed(body: bytes) -> bytes:
-    """`body` followed by the format-2 trailer: its 8-byte BLAKE2b digest."""
+    """`body` followed by the trailer of format 2 and later: its 8-byte BLAKE2b digest."""
     return body + hashlib.blake2b(body, digest_size=8).digest()
 
 
@@ -281,26 +325,52 @@ def read_scores_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
 # -- probes of the real model ---------------------------------------------------
 
 
-def relu_kink_margin(batch, enc) -> float:
-    """Smallest |pre-activation| any relu sees in one encoder forward pass.
+def relu_preactivations(batch, enc) -> list:
+    """The pre-activation array of every ReLU in one encoder forward pass, in order.
 
     Finite-difference gradient checks only converge where the loss is
-    locally smooth, so a probe point is valid only if this margin exceeds
-    the activation shift the parameter perturbation can cause.  Runs the
-    real encoder_forward with model.relu wrapped to record its inputs.
+    locally smooth, so a probe point is valid only if no perturbation moves
+    a pre-activation across zero.  Runs the real encoder_forward with
+    model.relu and model.group_norm_relu wrapped to record their inputs;
+    GroupNorm's pre-activations come from group_norm_ref.
     """
     from twoview import model
 
-    relu = model.relu
-    margins = []
+    relu, gn_relu = model.relu, model.group_norm_relu
+    found = []
 
     def recording_relu(x):
-        margins.append(float(np.abs(x.data).min()))
+        found.append(x.data.copy())
         return relu(x)
 
-    model.relu = recording_relu
+    def recording_gn_relu(x, gamma, beta, groups):
+        found.append(group_norm_ref(x.data, gamma.data, beta.data, groups))
+        return gn_relu(x, gamma, beta, groups)
+
+    model.relu, model.group_norm_relu = recording_relu, recording_gn_relu
     try:
         model.encoder_forward(batch, enc)
     finally:
-        model.relu = relu
-    return min(margins)
+        model.relu, model.group_norm_relu = relu, gn_relu
+    return found
+
+
+def steps_cross_a_kink(batch, enc, params: dict, h: float) -> bool:
+    """Whether a +-h step of any one parameter value moves a ReLU
+    pre-activation of the encoder across zero: central differences with
+    step h are then not valid at this point."""
+    def signs():
+        return np.concatenate([(z > 0).ravel() for z in relu_preactivations(batch, enc)])
+
+    base = signs()
+    for p in params.values():
+        flat = p.data.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            for step in (h, -h):
+                flat[i] = orig + step
+                crossed = not np.array_equal(signs(), base)
+                flat[i] = orig
+                if crossed:
+                    return True
+    return False

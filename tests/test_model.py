@@ -13,7 +13,17 @@ from twoview.model import (
     named_parameters,
     param_shapes,
 )
-from twoview.ndgrad import ContractError, ShapeError, Tensor
+from twoview.ndgrad import (
+    ContractError,
+    ShapeError,
+    Tensor,
+    avg_pool2,
+    conv2d,
+    global_avg_pool,
+    group_norm_relu,
+    relu,
+    separable_conv2d,
+)
 
 import oracles
 
@@ -90,6 +100,34 @@ class TestEncoder:
         with pytest.raises(ShapeError):
             encoder_forward(Tensor(np.zeros((1, 1, 8, 8))), enc)
 
+    @pytest.mark.parametrize("channels", [(8, 16, 32, 64), (16, 32, 64, 128)], ids=["ref", "wide"])
+    def test_pool_first_matches_pool_last(self, channels):
+        # each stage pools before its pointwise conv; composing it as the
+        # separable conv, then the pool, is the same function up to rounding
+        config = ModelConfig(input_size=64, channels=channels)
+        enc, _ = init_params(config, seed=3)
+        rng = np.random.default_rng(4)
+        enc["input/mean"], enc["input/std"] = Tensor(rng.uniform(0.4, 0.6, 3)), Tensor(rng.uniform(0.01, 0.1, 3))
+        x = rng.uniform(0, 1, (4, 3, 64, 64))
+        reps, _ = encoder_forward(Tensor(x), enc)
+        mean, std = enc["input/mean"].data[:, None, None], enc["input/std"].data[:, None, None]
+        h = relu(conv2d(Tensor((x - mean) / std), enc["encoder/stem/weight"], enc["encoder/stem/bias"], pad=1))
+        for i, c in enumerate(channels[1:]):
+            stage = f"encoder/stage{i}/"
+            pooled = avg_pool2(separable_conv2d(h, enc[stage + "depthwise"], enc[stage + "pointwise"],
+                                                enc[stage + "bias"]))
+            h = group_norm_relu(pooled, enc[stage + "gn_gamma"], enc[stage + "gn_beta"], min(4, c))
+        assert oracles.rel_err(reps.data, global_avg_pool(h).data) <= 2e-15
+
+    def test_group_count_divides_the_stage_width(self):
+        # min(4, C) groups where that divides C, else C's largest divisor below 4
+        for channels in [(4, 6, 5, 3), (2, 1, 2), (4, 8, 12)]:
+            config = ModelConfig(input_size=8 * 2 ** (len(channels) - 1), channels=channels)
+            enc, _ = init_params(config, seed=0)
+            x = Tensor(np.random.default_rng(5).uniform(0, 1, (2, 3, config.input_size, config.input_size)))
+            reps, _ = encoder_forward(x, enc)
+            assert reps.shape == (2, channels[-1]) and np.all(np.isfinite(reps.data))
+
     def test_init_deterministic_per_seed(self):
         a = np.concatenate([p.data.ravel() for p in named_parameters(*tiny_model(3)).values()])
         b = np.concatenate([p.data.ravel() for p in named_parameters(*tiny_model(3)).values()])
@@ -97,19 +135,29 @@ class TestEncoder:
         assert np.array_equal(a, b) and not np.array_equal(a, c)
 
     def test_init_draws_match_written_out_fan_ins(self):
-        # uniform in +-sqrt(1/fan_in), one draw per parameter in table order
+        # uniform in +-sqrt(1/fan_in), one draw per parameter in table order;
+        # GroupNorm's gamma and beta are 1 and 0 and take no draw
         fan_in = {
             "encoder/stem/weight": 27, "encoder/stem/bias": 27,
             "encoder/stage0/depthwise": 9, "encoder/stage0/pointwise": 4, "encoder/stage0/bias": 4,
+            "encoder/stage0/gn_gamma": 1.0, "encoder/stage0/gn_beta": 0.0,
             "encoder/stage1/depthwise": 9, "encoder/stage1/pointwise": 6, "encoder/stage1/bias": 6,
+            "encoder/stage1/gn_gamma": 1.0, "encoder/stage1/gn_beta": 0.0,
             "classifier/weight": 8, "classifier/bias": 8,
         }
         gen = np.random.default_rng(3)
-        params = named_parameters(*tiny_model(3))
+        enc, cls = tiny_model(3)
+        params = named_parameters(enc, cls)
         assert list(params) == list(fan_in)
         for name, p in params.items():
+            if "/gn_" in name:
+                assert np.array_equal(p.data, np.full(p.shape, fan_in[name])), name
+                continue
             bound = np.sqrt(1.0 / fan_in[name])
             assert np.array_equal(p.data, gen.uniform(-bound, bound, p.shape)), name
+        # the input statistics start as the identity and are not parameters
+        assert np.array_equal(enc["input/mean"].data, np.zeros(3)) and not enc["input/mean"].requires_grad
+        assert np.array_equal(enc["input/std"].data, np.ones(3)) and not enc["input/std"].requires_grad
 
     def test_no_dead_parameters(self):
         # Every parameter should touch the loss on a generic batch.
@@ -129,7 +177,8 @@ class TestEncoder:
         enc, cls = init_params(config, seed=1)
         params = named_parameters(enc, cls)
         assert [(name, p.shape) for name, p in params.items()] == list(param_shapes(config).items())
-        assert all(name.startswith("encoder/") for name in enc)
+        assert list(enc)[:2] == ["input/mean", "input/std"]
+        assert all(name.startswith("encoder/") for name in list(enc)[2:])
         assert all(name.startswith("classifier/") for name in cls)
 
     def test_detach_shares_arrays_as_constants(self):
@@ -138,7 +187,8 @@ class TestEncoder:
             assert list(frozen) == list(params)
             for name, t in frozen.items():
                 assert t.data is params[name].data, name
-                assert not t.requires_grad and params[name].requires_grad
+                assert not t.requires_grad
+                assert params[name].requires_grad != name.startswith("input/"), name
 
 
 class TestClassifier:

@@ -16,6 +16,7 @@ from twoview.ndgrad import (
     depthwise_conv2d,
     finite_diff_grad,
     global_avg_pool,
+    group_norm_relu,
     l2_normalize,
     pointwise_conv2d,
     relu,
@@ -504,6 +505,139 @@ class TestExactGradients:
         g = rng.uniform(-1, 1, (16, 16, 64, 64))
         (dw,) = grads_of(pointwise_conv2d(x, w, b), g, [w])
         assert oracles.rel_err(dw, np.einsum("nohw,nchw->oc", g, x.data)) <= 1e-12
+
+
+# GroupNorm's input in one chunk of each train config: the pooled outputs of
+# stages 0-2 for 2 pairs of 64 px images at 8-64 channels (train-ref) and
+# for 1 pair at 16-128 channels (train-wide)
+GN_STAGE_SHAPES = [
+    (4, 16, 32, 32), (4, 32, 16, 16), (4, 64, 8, 8),
+    (2, 32, 32, 32), (2, 64, 16, 16), (2, 128, 8, 8),
+]
+
+
+def gn_case(shape, seed, mean=0.3):
+    rng = np.random.default_rng(seed)
+    c = shape[1]
+    return (
+        t(rng.normal(mean, 1.0, shape)), t(rng.uniform(0.5, 1.5, c)), t(rng.uniform(-0.5, 0.5, c)),
+        rng.uniform(-1, 1, shape),
+    )
+
+
+class TestPoolFirst:
+    # The encoder pools a stage's depthwise output before its pointwise conv.
+    # The pool is linear per channel and the pointwise conv plus its bias is
+    # linear per pixel, so the two orders differ by rounding only.  Shapes:
+    # one chunk's depthwise outputs at train-ref (4 images, 8-32 channels)
+    # and at train-wide (2 images, 16-64 channels), with their stage widths.
+    @pytest.mark.parametrize(
+        "shape,out_channels",
+        [
+            ((4, 8, 64, 64), 16), ((4, 16, 32, 32), 32), ((4, 32, 16, 16), 64),
+            ((2, 16, 64, 64), 32), ((2, 32, 32, 32), 64), ((2, 64, 16, 16), 128),
+        ],
+    )
+    def test_pool_commutes_with_pointwise(self, shape, out_channels):
+        rng = np.random.default_rng(10)
+        d = Tensor(rng.uniform(-1, 1, shape))
+        w, b = Tensor(rng.uniform(-1, 1, (out_channels, shape[1]))), Tensor(rng.uniform(-1, 1, out_channels))
+        first = pointwise_conv2d(avg_pool2(d), w, b).data
+        last = avg_pool2(pointwise_conv2d(d, w, b)).data
+        assert oracles.rel_err(first, last) <= 2e-15
+
+
+class TestGroupNormRelu:
+    @pytest.mark.parametrize("groups", [1, 2, 3, 6])
+    def test_matches_two_pass_reference(self, groups):
+        x, gamma, beta, _ = gn_case((3, 6, 5, 4), 1)
+        y = group_norm_relu(x, gamma, beta, groups)
+        ref = np.maximum(oracles.group_norm_ref(x.data, gamma.data, beta.data, groups), 0.0)
+        assert oracles.rel_err(y.data, ref) < 1e-14
+
+    @pytest.mark.parametrize("groups", [1, 4, 16])
+    def test_variance_holds_at_mean_40_times_std(self, groups):
+        # the raw input's mean/std ratio: E[x**2] - mu**2 cancels about
+        # (40)**2 = 1600 ulps of the variance, the two-pass reference none
+        x, gamma, beta, _ = gn_case((2, 16, 8, 8), 2, mean=40.0)
+        y = group_norm_relu(x, gamma, beta, groups)
+        ref = np.maximum(oracles.group_norm_ref(x.data, gamma.data, beta.data, groups), 0.0)
+        assert oracles.rel_err(y.data, ref) < 1e-11
+
+    def test_each_sample_is_normalised_alone(self):
+        x, gamma, beta, _ = gn_case((3, 8, 4, 4), 3)
+        whole = group_norm_relu(x, gamma, beta, 4).data
+        for i in range(3):
+            alone = group_norm_relu(Tensor(x.data[i : i + 1]), gamma, beta, 4).data
+            np.testing.assert_array_equal(alone[0], whole[i])
+
+    def test_contract(self):
+        x, gamma, beta, _ = gn_case((2, 6, 4, 4), 4)
+        with pytest.raises(ContractError):
+            group_norm_relu(x, gamma, beta, 4)
+        with pytest.raises(ShapeError):
+            group_norm_relu(x, t(np.ones(5)), beta, 2)
+
+    # Central differences on 8 entries each of x, gamma and beta, then the
+    # adjoint identity <J v, u> = <v, J^T u> for the loss <y, u> along one
+    # random direction v through all three, at each stage shape.  A probe is
+    # valid only if no output crosses the ReLU's kink, and each asserts so.
+    @pytest.mark.parametrize("groups", [1, 4, "C"])
+    @pytest.mark.parametrize("shape", GN_STAGE_SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_gradients_at_stage_shapes(self, shape, groups):
+        groups = shape[1] if groups == "C" else groups
+        x, gamma, beta, u = gn_case(shape, 5)
+        out = group_norm_relu(x, gamma, beta, groups)
+        active = out.data > 0
+        dx, dgamma, dbeta = grads_of(out, u, [x, gamma, beta])
+        rng = np.random.default_rng(6)
+
+        def central(step, h):
+            # (loss(+h) - loss(-h)) / 2h, where step(s) moves the inputs by s
+            values = []
+            for sign in (1.0, -1.0):
+                step(sign * h)
+                y = group_norm_relu(x, gamma, beta, groups).data
+                step(-sign * h)
+                assert np.array_equal(y > 0, active), "the probe crossed a kink"
+                values.append(np.vdot(y, u))
+            return (values[0] - values[1]) / (2 * h)
+
+        def entry_step(flat, i):
+            def step(s):
+                flat[i] += s
+            return step
+
+        for p, grad in ((x, dx), (gamma, dgamma), (beta, dbeta)):
+            entries = rng.choice(p.data.size, 8, replace=False)
+            numeric = [central(entry_step(p.data.reshape(-1), i), 1e-5) for i in entries]
+            assert oracles.rel_err(grad.reshape(-1)[entries], numeric) < 1e-7
+
+        v = [rng.uniform(-1, 1, p.shape) for p in (x, gamma, beta)]
+
+        def direction_step(s):
+            for p, vp in zip((x, gamma, beta), v):
+                p.data += s * vp
+
+        jvp = central(direction_step, 1e-7)
+        vjp = sum(np.vdot(g, vp) for g, vp in zip((dx, dgamma, dbeta), v))
+        assert abs(jvp - vjp) <= 1e-6 * abs(vjp)
+
+    def test_hands_its_input_an_owned_buffer(self):
+        # the input gradient is written into the incoming gradient's buffer
+        x, gamma, beta, u = gn_case((2, 4, 4, 4), 7)
+        mixed = x * 1.0
+        out = group_norm_relu(mixed, gamma, beta, 2)
+        seen = {}
+        inner = mixed._backward
+
+        def spy(g):
+            seen["g"] = g
+            inner(g)
+
+        mixed._backward = spy
+        (out * Tensor(u)).sum().backward()
+        assert seen["g"].flags.c_contiguous and seen["g"].shape == x.shape
 
 
 class TestBackwardSemantics:
